@@ -19,12 +19,11 @@ Quickstart::
     cs = repro.analyze(program, sensitivity="sensitive")  # Figure 5
 """
 
-from .analysis import (
-    AnalysisResult,
-    PointsToSolution,
-    analyze_insensitive,
-    analyze_sensitive,
-)
+from __future__ import annotations
+
+from importlib import import_module
+from typing import TYPE_CHECKING
+
 from .errors import (
     AnalysisError,
     FrontendError,
@@ -35,9 +34,35 @@ from .errors import (
     SuiteError,
     UnsupportedFeatureError,
 )
-from .ir import GraphBuilder, Program
+
+if TYPE_CHECKING:
+    from .analysis.common import AnalysisResult
+    from .ir.graph import Program
 
 __version__ = "1.0.0"
+
+#: Public names defined outside :mod:`repro.errors`, by defining
+#: module.  They load on first access (module ``__getattr__``), so
+#: ``import repro`` — and every ``repro.*`` submodule import — loads
+#: only :mod:`repro.errors`.
+_LAZY = {
+    "AnalysisResult": "analysis.common",
+    "PointsToSolution": "analysis.common",
+    "analyze_insensitive": "analysis.insensitive",
+    "analyze_sensitive": "analysis.sensitive",
+    "GraphBuilder": "ir.builder",
+    "Program": "ir.graph",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 
 def analyze(program: Program, sensitivity: str = "insensitive",
@@ -49,8 +74,10 @@ def analyze(program: Program, sensitivity: str = "insensitive",
     (the Weihl-style program-wide baseline).
     """
     if sensitivity == "insensitive":
+        from .analysis.insensitive import analyze_insensitive
         return analyze_insensitive(program, **kwargs)
     if sensitivity == "sensitive":
+        from .analysis.sensitive import analyze_sensitive
         return analyze_sensitive(program, **kwargs)
     if sensitivity == "flowinsensitive":
         from .analysis.flowinsensitive import analyze_flowinsensitive
@@ -60,15 +87,15 @@ def analyze(program: Program, sensitivity: str = "insensitive",
 
 def parse_source(source: str, name: str = "<source>", **kwargs) -> Program:
     """Preprocess, parse, and lower C source text to an analyzable
-    :class:`~repro.ir.Program`."""
-    from .frontend import lower_source
+    :class:`~repro.ir.graph.Program`."""
+    from .frontend.pipeline import lower_source
 
     return lower_source(source, name=name, **kwargs)
 
 
 def parse_file(path, **kwargs) -> Program:
     """Preprocess, parse, and lower a C file."""
-    from .frontend import lower_file
+    from .frontend.pipeline import lower_file
 
     return lower_file(path, **kwargs)
 
@@ -77,7 +104,7 @@ def parse_files(paths, **kwargs) -> Program:
     """Link several C files into one analyzable program (external
     globals share storage, calls resolve across files, ``static``
     names stay file-local)."""
-    from .frontend import lower_files
+    from .frontend.pipeline import lower_files
 
     return lower_files(paths, **kwargs)
 

@@ -15,74 +15,3 @@
   :mod:`~repro.analysis.incremental` — per-SCC escape summaries and
   the content-keyed incremental re-analysis driver built on them.
 """
-
-from .common import AnalysisResult, CallGraph, Counters, PointsToSolution
-from .compare import ComparisonReport, compare_results, spurious_pairs
-from .flowinsensitive import FlowInsensitiveAnalysis, analyze_flowinsensitive
-from .insensitive import InsensitiveAnalysis, analyze_insensitive
-from .qualified import (
-    AssumptionAntichain,
-    AssumptionSet,
-    QualifiedPair,
-    QualifiedSolution,
-)
-from .explain import Derivation, Explainer, explain, format_derivation
-from .query import op_locations_at_call, pairs_under, project_at_call
-from .verify import (
-    QualifiedViolation,
-    Violation,
-    assert_fixpoint,
-    assert_qualified_fixpoint,
-    verify_qualified,
-    verify_solution,
-)
-from .sensitive import PruneInfo, SensitiveAnalysis, analyze_sensitive
-from .incremental import SummaryReplayError, analyze_incremental
-from .summaries import (
-    Summary,
-    extract_summary,
-    join_summaries,
-    summary_digest,
-    summary_leq,
-)
-
-__all__ = [
-    "AnalysisResult",
-    "AssumptionAntichain",
-    "AssumptionSet",
-    "CallGraph",
-    "ComparisonReport",
-    "Counters",
-    "FlowInsensitiveAnalysis",
-    "InsensitiveAnalysis",
-    "PointsToSolution",
-    "PruneInfo",
-    "QualifiedPair",
-    "QualifiedSolution",
-    "SensitiveAnalysis",
-    "Summary",
-    "SummaryReplayError",
-    "Derivation",
-    "Explainer",
-    "QualifiedViolation",
-    "Violation",
-    "analyze_flowinsensitive",
-    "analyze_incremental",
-    "assert_qualified_fixpoint",
-    "verify_qualified",
-    "analyze_insensitive",
-    "analyze_sensitive",
-    "assert_fixpoint",
-    "compare_results",
-    "explain",
-    "extract_summary",
-    "join_summaries",
-    "summary_digest",
-    "summary_leq",
-    "format_derivation",
-    "op_locations_at_call",
-    "pairs_under",
-    "project_at_call",
-    "spurious_pairs",
-    "verify_solution",
-]

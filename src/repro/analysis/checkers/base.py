@@ -38,7 +38,6 @@ from ...memory.pairs import PointsToPair
 from ...ir.graph import FunctionGraph, Program
 from ...ir.nodes import CallNode, Node, OutputPort
 from ..common import AnalysisResult, CallGraph
-from ..explain import format_derivation, witness_explainer
 
 #: Severity levels, ordered: "error" marks a must-hazard (every target
 #: of the operation is invalid), "warning" a may-hazard.
@@ -212,7 +211,10 @@ def run_checkers(result: AnalysisResult,
         raw.extend(fn(result))
     raw.sort(key=lambda r: (r.checker, r.node.graph.name, r.node.uid,
                             render_path(r.path), r.message))
-    explainer = witness_explainer(result) if witness else None
+    explainer = None
+    if witness:
+        from ..explain import format_derivation, witness_explainer
+        explainer = witness_explainer(result)
     findings: List[Finding] = []
     seen: Set[Tuple[str, ...]] = set()
     for r in raw:

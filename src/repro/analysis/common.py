@@ -12,8 +12,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -25,6 +27,7 @@ from typing import (
     Tuple,
 )
 
+from ..choices import SCHEDULES
 from ..errors import AnalysisError
 from ..memory.access import EMPTY_OFFSET, AccessPath
 from ..memory.base import LocationKind
@@ -41,19 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: allocating a fresh ``set()`` per query (these calls sit on hot
 #: paths: every transfer function consults its sibling inputs).
 _NO_PAIRS: FrozenSet[PointsToPair] = frozenset()
-_NO_CALLEES: FrozenSet["FunctionGraph"] = frozenset()
-_NO_CALLERS: FrozenSet["CallNode"] = frozenset()
-
-#: Scheduling strategies the solvers accept.  The paper notes the
-#: algorithms converge to the same solution under any strategy;
-#: ``"fifo"`` is the original one-fact-per-pop queue (kept for the
-#: determinism cross-check), ``"batched"`` drains every pending fact
-#: at a port through a single transfer application, ``"scc"`` batches
-#: the same way but pops ports in topological order of the port
-#: dependency graph's strongly connected components (round-robin
-#: inside each SCC), so downstream components see their inputs
-#: saturated before they run.
-SCHEDULES = ("batched", "fifo", "scc")
+_NO_EDGES: Mapping = MappingProxyType({})
 
 
 def check_schedule(schedule: str) -> str:
@@ -103,29 +94,34 @@ class CallGraph:
     ``callees`` / ``callers`` mirror the primitives of Figure 1's
     definitions box; edges appear as function values reach ``fcn``
     inputs (new edges trigger repropagation of already-known facts).
+    Both return read-only set views that iterate in edge-discovery
+    order: nodes and graphs hash by identity, so a plain set would
+    iterate in memory-address order, and the CS solver's transfer and
+    meet counts would change from process to process.
     """
 
     def __init__(self) -> None:
-        self._callees: Dict[CallNode, Set[FunctionGraph]] = {}
-        self._callers: Dict[FunctionGraph, Set[CallNode]] = {}
+        # Dicts with None values: insertion-ordered sets.
+        self._callees: Dict[CallNode, Dict[FunctionGraph, None]] = {}
+        self._callers: Dict[FunctionGraph, Dict[CallNode, None]] = {}
         #: Call sites whose function value resolved to something that is
         #: not a defined function (e.g. data treated as code); recorded
         #: rather than silently dropped.
         self.unresolved: Set[CallNode] = set()
 
-    def callees(self, call: CallNode) -> Set[FunctionGraph]:
-        return self._callees.get(call, _NO_CALLEES)
+    def callees(self, call: CallNode) -> AbstractSet[FunctionGraph]:
+        return self._callees.get(call, _NO_EDGES).keys()
 
-    def callers(self, graph: FunctionGraph) -> Set[CallNode]:
-        return self._callers.get(graph, _NO_CALLERS)
+    def callers(self, graph: FunctionGraph) -> AbstractSet[CallNode]:
+        return self._callers.get(graph, _NO_EDGES).keys()
 
     def add_edge(self, call: CallNode, callee: FunctionGraph) -> bool:
         """Record a call edge; returns True if it is new."""
-        known = self._callees.setdefault(call, set())
+        known = self._callees.setdefault(call, {})
         if callee in known:
             return False
-        known.add(callee)
-        self._callers.setdefault(callee, set()).add(call)
+        known[callee] = None
+        self._callers.setdefault(callee, {})[call] = None
         return True
 
     def edges(self) -> Iterator[tuple[CallNode, FunctionGraph]]:

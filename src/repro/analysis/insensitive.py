@@ -62,8 +62,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..memory.access import EMPTY_OFFSET, INDEX, AccessPath
@@ -101,6 +100,9 @@ from .common import (
     seed_roots,
 )
 from .scheduling import port_scc_levels, port_scc_order
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 #: A dense batch handler consumes one port's pending fact bitset on
 #: behalf of an engine: ``handler(engine, mask)``.  Handlers close
@@ -322,7 +324,8 @@ class InsensitiveAnalysis:
                         counters.transfers += mask.bit_count()
                 if jobs > 1 and len(shards) > 1:
                     if pool is None:
-                        pool = ThreadPoolExecutor(
+                        from concurrent import futures
+                        pool = futures.ThreadPoolExecutor(
                             max_workers=jobs,
                             thread_name_prefix="repro-scc")
                     width = min(len(shards), jobs)

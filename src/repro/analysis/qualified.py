@@ -165,6 +165,14 @@ class QualifiedSolution:
             mask |= 1 << ident
         return mask
 
+    def ordered(self, assumptions: AssumptionSet) -> List[Assumption]:
+        """``assumptions`` in interning order.  A frozenset of
+        identity-hashed ports and pairs iterates in memory-address
+        order; this order follows the run alone.  Every assumption is
+        interned as a singleton (``_into_formal``) before any larger
+        set holds it, so every id exists by the time a set is read."""
+        return sorted(assumptions, key=self._assumption_ids.__getitem__)
+
     def add(self, output: OutputPort, qp: QualifiedPair) -> bool:
         by_pair = self._pairs.get(output)
         if by_pair is None:

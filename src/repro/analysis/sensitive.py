@@ -527,7 +527,7 @@ class SensitiveAnalysis:
         those collections gives every caller assumption set sufficient
         to satisfy the callee's assumptions."""
         satisfier_sets: List[List[AssumptionSet]] = []
-        for formal, assumed_pair in qp.assumptions:
+        for formal, assumed_pair in self.solution.ordered(qp.assumptions):
             if formal.node.graph is not callee:
                 # Assumption about some other procedure's formal: can
                 # only happen on a malformed graph.

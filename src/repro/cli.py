@@ -9,7 +9,8 @@ Commands:
   deterministic text/JSON machinery.
 * ``dump FILE [--function NAME]`` — print the lowered VDG.
 * ``experiment ID`` — regenerate one of the paper's tables/figures
-  (fig2, fig3, fig4, fig6, fig7, cost, opt42, perf43, gap).
+  (fig2, fig3, fig4, fig6, fig7, cost, opt42, perf43, struct51, gap,
+  checkers, slicing).
 
 ``analyze`` and ``experiment`` share the run-layer flags:
 ``--telemetry PATH`` writes one JSON-lines record per (program,
@@ -19,8 +20,8 @@ for multi-program runs.
 * ``suite`` — list the benchmark suite programs.
 * ``check [FILE ...] [--checkers IDS] [--flavor X] [--format F]`` —
   run the bug-finding checkers (null dereference, use-after-return,
-  uninitialized read, wild indirect call) over the suite or given
-  files; ``--format sarif`` emits a SARIF 2.1.0 log.
+  uninitialized read, wild indirect call, dead store) over the suite
+  or given files; ``--format sarif`` emits a SARIF 2.1.0 log.
 * ``slice TARGET --criterion file:line | --from-finding KEY`` —
   compute a backward/forward program slice over the alias-aware
   dependence graph (``--format text|json|dot``).
@@ -32,6 +33,9 @@ for multi-program runs.
   ``query``/``slice``/``metrics`` over in-memory LRU cache tiers, request
   coalescing, and the fault-isolated process pool (see
   :mod:`repro.serve`).
+
+Each handler imports what its subcommand runs; the module itself loads
+only what building the argument parser needs.
 """
 
 from __future__ import annotations
@@ -40,16 +44,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.compare import compare_results
-from .analysis.common import SCHEDULES
-from .analysis.insensitive import analyze_insensitive
-from .analysis.sensitive import analyze_sensitive
-from .analysis.stats import indirect_op_stats, pair_census, program_sizes
+from .choices import EXPERIMENT_IDS, SCHEDULES
 from .errors import ReproError
-from .frontend.lower import lower_file
-from .ir.pretty import format_program
-from .report.experiments import EXPERIMENT_IDS, render_experiment
-from .suite.registry import PROGRAM_NAMES, program_path
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -363,12 +359,14 @@ def _cmd_analyze(args) -> int:
     cache = not args.no_cache
     if args.jobs > 1 and len(args.file) > 1:
         return _analyze_parallel(args, cache)
+    from .analysis.insensitive import analyze_insensitive
+    from .analysis.sensitive import analyze_sensitive
+    from .frontend.pipeline import lower_file, lower_files
     from .telemetry import peak_rss_kb
     rss_baseline = peak_rss_kb()
     if len(args.file) == 1:
         program = lower_file(args.file[0], cache=cache)
     else:
-        from .frontend.lower import lower_files
         program = lower_files(args.file, cache=cache)
     for warning in program.extras.get("warnings", ()):
         print(f"warning: {warning}", file=sys.stderr)
@@ -423,6 +421,9 @@ def _report_program(program, results, args) -> None:
     """One analyzed program's report: text lines or one JSON object."""
     import json as _json
 
+    from .analysis.compare import compare_results
+    from .analysis.stats import program_sizes
+
     compare = (args.sensitivity == "both"
                and "insensitive" in results and "sensitive" in results)
     if args.fmt == "json":
@@ -449,6 +450,8 @@ def _program_payload(program, results, args, compare=False) -> dict:
     """JSON-shaped analyze report (summary + requested client
     sections), deterministically ordered throughout."""
     from .analysis.clients.render import clients_payload
+    from .analysis.compare import compare_results
+    from .analysis.stats import indirect_op_stats, pair_census, program_sizes
 
     sizes = program_sizes(program)
     doc = {
@@ -554,6 +557,8 @@ def _analyze_parallel(args, cache) -> int:
 
 
 def _print_result(label: str, result, args) -> None:
+    from .analysis.stats import indirect_op_stats, pair_census
+
     census = pair_census(result)
     reads = indirect_op_stats(result, "read")
     writes = indirect_op_stats(result, "write")
@@ -585,6 +590,10 @@ def _print_result(label: str, result, args) -> None:
 
 
 def _cmd_dump(args) -> int:
+    from .analysis.insensitive import analyze_insensitive
+    from .frontend.pipeline import lower_file
+    from .ir.pretty import format_program
+
     program = lower_file(args.file)
     result = analyze_insensitive(program) if args.annotate else None
     if args.dot:
@@ -611,22 +620,26 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .frontend.pipeline import lower_file
     from .report.export import result_to_json
 
     program = lower_file(args.file)
     if args.sensitivity == "insensitive":
+        from .analysis.insensitive import analyze_insensitive
         result = analyze_insensitive(program)
     elif args.sensitivity == "sensitive":
+        from .analysis.sensitive import analyze_sensitive
         result = analyze_sensitive(program)
     else:
         from .analysis.flowinsensitive import analyze_flowinsensitive
-        result = analyze_flowinsensitive(program, schedule=args.schedule)
+        result = analyze_flowinsensitive(program)
     print(result_to_json(result, include_pairs=not args.no_pairs))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    from .report.experiments import SuiteRunner, render_experiment_markdown
+    from .report.experiments import (SuiteRunner, render_experiment,
+                                     render_experiment_markdown)
 
     wanted = list(EXPERIMENT_IDS) if args.id == "all" else [args.id]
     runner = SuiteRunner(jobs=args.jobs, cache=not args.no_cache,
@@ -647,6 +660,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_explain(args) -> int:
     from .analysis.explain import Explainer, format_derivation
+    from .analysis.insensitive import analyze_insensitive
+    from .frontend.pipeline import lower_file
 
     program = lower_file(args.file)
     result = analyze_insensitive(program)
@@ -678,6 +693,8 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite.registry import PROGRAM_NAMES, program_path
+
     for name in PROGRAM_NAMES:
         print(f"{name}: {program_path(name)}")
     return 0
@@ -687,8 +704,8 @@ def _cmd_check(args) -> int:
     import json as _json
 
     from .analysis.checkers import findings_digest
-    from .report.export import findings_to_sarif
     from .runner import run_check_report
+    from .suite.registry import PROGRAM_NAMES
 
     if args.flavor == "all":
         flavors = ("insensitive", "sensitive", "flowinsensitive")
@@ -723,6 +740,7 @@ def _cmd_check(args) -> int:
                 ordered.append((outcome.name, finding))
 
     if args.fmt == "sarif":
+        from .report.export import findings_to_sarif
         findings = [f for _, f in ordered]
         print(_json.dumps(findings_to_sarif(findings), indent=2,
                           sort_keys=True))
@@ -766,8 +784,8 @@ def _cmd_check(args) -> int:
 def _cmd_slice(args) -> int:
     import json as _json
 
-    from .report.export import slice_to_dot
     from .runner import run_slice_report
+    from .suite.registry import PROGRAM_NAMES
 
     names: List[str] = []
     paths: List[str] = []
@@ -794,6 +812,7 @@ def _cmd_slice(args) -> int:
                            "errors": [str(e) for e in report.errors]},
                           indent=2, sort_keys=True))
     elif args.fmt == "dot":
+        from .report.export import slice_to_dot
         for payload in payloads:
             sys.stdout.write(slice_to_dot(payload["slice"],
                                           payload["node_info"]))

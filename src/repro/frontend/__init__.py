@@ -1,64 +1,1 @@
 """C frontend: preprocess → parse → type-elaborate → lower to the VDG."""
-
-from .ctypes import (
-    ArrayType,
-    CType,
-    EnumType,
-    FloatType,
-    FunctionType,
-    IntType,
-    PointerType,
-    RecordType,
-    VoidType,
-)
-from .libmodels import LIBRARY_MODELS, LibModel, model_for
-from .lower import (
-    FunctionLowerer,
-    Linkage,
-    ModuleLowerer,
-    lower_ast,
-    lower_file,
-    lower_files,
-    lower_source,
-)
-from .parser import parse_file, parse_preprocessed, parse_source
-from .prepasses import PrepassInfo, run_prepasses
-from .preprocess import Preprocessor, preprocess, strip_comments
-from .symbols import Symbol, SymbolKind, SymbolTable
-from .typemap import TypeContext, decode_string_literal, int_literal
-
-__all__ = [
-    "ArrayType",
-    "CType",
-    "EnumType",
-    "FloatType",
-    "FunctionLowerer",
-    "FunctionType",
-    "IntType",
-    "LIBRARY_MODELS",
-    "LibModel",
-    "ModuleLowerer",
-    "PointerType",
-    "PrepassInfo",
-    "Preprocessor",
-    "RecordType",
-    "Symbol",
-    "SymbolKind",
-    "SymbolTable",
-    "TypeContext",
-    "VoidType",
-    "decode_string_literal",
-    "int_literal",
-    "Linkage",
-    "lower_ast",
-    "lower_file",
-    "lower_files",
-    "lower_source",
-    "model_for",
-    "parse_file",
-    "parse_preprocessed",
-    "parse_source",
-    "preprocess",
-    "run_prepasses",
-    "strip_comments",
-]

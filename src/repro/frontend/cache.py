@@ -59,6 +59,14 @@ from ..ir.graph import Program
 #: summary store they anchor start from one coherent generation.
 LOWERING_VERSION = 5
 
+#: :class:`~repro.frontend.lower.ModuleLowerer`'s option defaults.
+#: :func:`compute_key` skips an option passed at its default, so an
+#: explicit ``hazard_model=False`` and an omitted one share an entry.
+LOWERING_DEFAULTS = {"roots": None, "extern_policy": "warn",
+                     "synthesize_root_environment": True,
+                     "simplify": True, "sparse": True,
+                     "hazard_model": False}
+
 #: Default cache directory (relative to the working directory), and
 #: the environment variables that override/disable it.
 CACHE_DIR_NAME = ".repro-cache"
@@ -96,7 +104,8 @@ def compute_key(sources: Sequence[Tuple[str, bytes]],
 
     ``sources`` is the full ``(name, bytes)`` dependency set —
     callers on the lowering path pass ``Preprocessor.dependencies``
-    so edits to ``#include``\\ d headers change the key.
+    so edits to ``#include``\\ d headers change the key.  Options at
+    their :data:`LOWERING_DEFAULTS` value do not enter the key.
     """
     h = hashlib.sha256()
     h.update(f"lowering-v{LOWERING_VERSION}".encode())
@@ -111,6 +120,8 @@ def compute_key(sources: Sequence[Tuple[str, bytes]],
     for key, value in sorted((defines or {}).items()):
         h.update(f"\x00def\x00{key}={value}".encode(errors="replace"))
     for key, value in sorted((options or {}).items()):
+        if key in LOWERING_DEFAULTS and LOWERING_DEFAULTS[key] == value:
+            continue
         h.update(f"\x00opt\x00{key}={value!r}".encode(errors="replace"))
     return h.hexdigest()
 

@@ -76,11 +76,9 @@ from .ctypes import (
     pointer_to,
 )
 from .libmodels import LibModel, model_for
-from .parser import (
-    parse_file as _parse_file,
-    parse_preprocessed,
-    parse_source as _parse_source,
-)
+from .parser import parse_preprocessed
+# The C-text and C-file entry points live in :mod:`.pipeline`.
+from .pipeline import lower_file, lower_files, lower_source  # noqa: F401
 from .prepasses import PrepassInfo, run_prepasses
 from .symbols import Symbol, SymbolKind, SymbolTable
 from .typemap import (
@@ -1915,130 +1913,22 @@ def lower_ast(ast: c_ast.FileAST, name: str = "<program>",
     return program
 
 
-def lower_source(source: str, name: str = "<source>",
-                 include_dirs: Sequence = (),
-                 defines: Optional[Dict[str, str]] = None,
-                 **options) -> Program:
-    """Preprocess, parse, and lower C source text."""
-    ast = _parse_source(source, filename=name, include_dirs=include_dirs,
-                        defines=defines)
-    program = lower_ast(ast, name=name, **options)
-    program.source_lines = _count_source_lines(source)
-    return program
-
-
-def _finish_frontend_extras(program: Program, timer, cache_status: str
-                            ) -> Program:
-    """Record frontend phase timings and the cache outcome on the
-    program, for telemetry records assembled further up the stack."""
-    program.extras["phases"] = timer.as_dict()
-    program.extras["cache"] = cache_status
-    return program
-
-
-def lower_file(path, include_dirs: Sequence = (),
-               defines: Optional[Dict[str, str]] = None,
-               cache: object = None,
-               **options) -> Program:
-    """Preprocess, parse, and lower a C file.
-
-    ``cache`` enables the persistent lowering cache: ``True`` uses the
-    default directory (``$REPRO_CACHE_DIR`` or ``./.repro-cache``), a
-    path selects a specific directory, and ``None``/``False`` (the
-    default) lowers from scratch.  Cached entries are keyed by the
-    content hash of the preprocessor-reported dependency set — the
-    file itself plus every ``#include``\\ d header it actually opened —
-    and the lowering options, so edits to any of them invalidate
-    entries automatically (see :mod:`repro.frontend.cache`).
-
-    Frontend phase timings (``preprocess``/``parse``/``lower``, or
-    ``cache_load`` on a hit) and the cache outcome land in
-    ``program.extras`` for telemetry.
-    """
-    from .cache import compute_key, load_program, resolve_cache_dir, \
-        store_program
-    from .preprocess import Preprocessor
-    from ..perf import PhaseTimer
-
-    path = Path(path)
-    timer = PhaseTimer()
-    cache_dir = resolve_cache_dir(cache)
-    pre = Preprocessor(include_dirs=include_dirs, defines=defines)
-    with timer.phase("preprocess"):
-        processed = pre.process_file(path)
-    key = None
-    if cache_dir is not None:
-        key = compute_key(pre.dependencies, include_dirs, defines, options)
-        with timer.phase("cache_load"):
-            cached = load_program(cache_dir, key)
-        if cached is not None:
-            return _finish_frontend_extras(cached, timer, "hit")
-    with timer.phase("parse"):
-        ast = parse_preprocessed(processed, str(path))
-    with timer.phase("lower"):
-        program = lower_ast(ast, name=path.name, **options)
-    program.source_lines = _count_source_lines(pre.dependencies[0][1].decode())
-    _finish_frontend_extras(program, timer,
-                            "miss" if cache_dir is not None else "off")
-    if cache_dir is not None:
-        store_program(cache_dir, key, program)
-    return program
-
-
-def lower_files(paths: Sequence, include_dirs: Sequence = (),
-                defines: Optional[Dict[str, str]] = None,
-                name: Optional[str] = None, cache: object = None,
+def lower_units(units: Sequence[Tuple[Path, str]], name: str, timer,
                 **options) -> Program:
-    """Link several translation units into one analyzable program.
-
-    External-linkage globals share storage by name, calls resolve to
-    definitions in other files, TU-local ``static`` names never
-    collide, and recursion detection runs over the merged call graph —
-    so footnote 4's weakly-updateable locals apply to mutual recursion
-    that crosses file boundaries too.
-
-    ``cache`` works as in :func:`lower_file`, keyed over every input
-    file's dependency set (headers included).
-    """
-    from .cache import compute_key, load_program, resolve_cache_dir, \
-        store_program
-    from .preprocess import Preprocessor
-    from ..perf import PhaseTimer
-
-    path_list = [Path(p) for p in paths]
-    if not path_list:
-        raise LoweringError("lower_files needs at least one file")
-    timer = PhaseTimer()
-    # One fresh Preprocessor per translation unit (macro state must not
-    # leak across TUs), dependencies concatenated for the cache key.
-    processed_texts: List[str] = []
-    dependencies: List[Tuple[str, bytes]] = []
-    with timer.phase("preprocess"):
-        for path in path_list:
-            pre = Preprocessor(include_dirs=include_dirs, defines=defines)
-            processed_texts.append(pre.process_file(path))
-            dependencies.extend(pre.dependencies)
-    cache_dir = resolve_cache_dir(cache)
-    key = None
-    if cache_dir is not None:
-        cache_options = dict(options)
-        if name is not None:
-            cache_options["name"] = name
-        key = compute_key(dependencies, include_dirs, defines, cache_options)
-        with timer.phase("cache_load"):
-            cached = load_program(cache_dir, key)
-        if cached is not None:
-            return _finish_frontend_extras(cached, timer, "hit")
-    program_name = name or "+".join(p.name for p in path_list)
-    program = Program(program_name)
+    """Parse and lower preprocessed translation units, given as
+    ``(path, preprocessed text)``, into one linked program — the
+    cache-miss half of :func:`repro.frontend.pipeline.lower_files`.
+    ``timer`` (a :class:`~repro.perf.PhaseTimer`) accumulates the
+    ``parse`` and ``lower`` phases."""
+    program = Program(name)
     linkage = Linkage(program)
 
     lowerers: List[ModuleLowerer] = []
-    for path, processed in zip(path_list, processed_texts):
+    for path, processed in units:
         with timer.phase("parse"):
             ast = parse_preprocessed(processed, str(path))
         with timer.phase("lower"):
-            lowerer = ModuleLowerer(ast, program_name, linkage=linkage,
+            lowerer = ModuleLowerer(ast, name, linkage=linkage,
                                     tu_name=path.stem, **options)
             lowerer.collect()
         lowerers.append(lowerer)
@@ -2055,12 +1945,6 @@ def lower_files(paths: Sequence, include_dirs: Sequence = (),
             if lowerer is not finisher:
                 finisher.warnings.extend(lowerer.warnings)
         finisher.finish()
-    program.source_lines = sum(_count_source_lines(p.read_text())
-                               for p in path_list)
-    _finish_frontend_extras(program, timer,
-                            "miss" if cache_dir is not None else "off")
-    if cache_dir is not None:
-        store_program(cache_dir, key, program)
     return program
 
 
@@ -2108,8 +1992,3 @@ def _link_recursion(lowerers: List["ModuleLowerer"],
             recursive.add(scc[0])
     for lowerer in lowerers:
         lowerer.linked_recursive = recursive
-
-
-def _count_source_lines(text: str) -> int:
-    """Non-blank source lines, the paper's Figure 2 "lines" metric."""
-    return sum(1 for line in text.splitlines() if line.strip())

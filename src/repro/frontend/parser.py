@@ -44,11 +44,3 @@ def parse_source(source: str, filename: str = "<source>",
     pre = Preprocessor(include_dirs=include_dirs, defines=defines)
     processed = pre.process_text(source, filename)
     return parse_preprocessed(processed, filename)
-
-
-def parse_file(path, include_dirs: Sequence = (),
-               defines: Optional[Dict[str, str]] = None) -> c_ast.FileAST:
-    """Preprocess and parse a C file."""
-    pre = Preprocessor(include_dirs=include_dirs, defines=defines)
-    processed = pre.process_file(path)
-    return parse_preprocessed(processed, str(path))

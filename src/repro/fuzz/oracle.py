@@ -43,15 +43,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..analysis import (
-    analyze_flowinsensitive,
-    analyze_insensitive,
-    analyze_sensitive,
-    verify_solution,
-)
 from ..analysis.common import AnalysisResult
+from ..analysis.flowinsensitive import analyze_flowinsensitive
+from ..analysis.insensitive import analyze_insensitive
+from ..analysis.sensitive import analyze_sensitive
+from ..analysis.verify import verify_solution
 from ..frontend.cache import forget_loaded
-from ..frontend.lower import lower_file, lower_source
+from ..frontend.pipeline import lower_file, lower_source
 from ..ir.nodes import LookupNode, UpdateNode
 from .concrete import ConcreteTrap, interpret_source
 

@@ -1,54 +1,1 @@
 """The VDG-style intermediate representation the analyses run over."""
-
-from .builder import GraphBuilder, unify_tags
-from .dot import program_to_dot, to_dot
-from .graph import FunctionGraph, Program
-from .nodes import (
-    AddressNode,
-    CallNode,
-    ConstNode,
-    EntryNode,
-    InputPort,
-    LookupNode,
-    MergeNode,
-    Node,
-    OutputPort,
-    PrimopNode,
-    PrimopSemantics,
-    ReturnNode,
-    UpdateNode,
-    ValueTag,
-)
-from .pretty import format_function, format_node, format_program
-from .simplify import simplify_function, simplify_program
-from .validate import validate_function, validate_program
-
-__all__ = [
-    "AddressNode",
-    "CallNode",
-    "ConstNode",
-    "EntryNode",
-    "FunctionGraph",
-    "GraphBuilder",
-    "InputPort",
-    "LookupNode",
-    "MergeNode",
-    "Node",
-    "OutputPort",
-    "PrimopNode",
-    "PrimopSemantics",
-    "Program",
-    "ReturnNode",
-    "UpdateNode",
-    "ValueTag",
-    "format_function",
-    "format_node",
-    "format_program",
-    "program_to_dot",
-    "simplify_function",
-    "simplify_program",
-    "to_dot",
-    "unify_tags",
-    "validate_function",
-    "validate_program",
-]

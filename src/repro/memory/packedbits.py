@@ -31,11 +31,17 @@ When numpy is absent (or ``REPRO_NO_NUMPY=1`` is set, the test hook),
 every entry point falls back to the plain big-int engine: the module
 still imports, :data:`HAVE_NUMPY` is False, and behavior is unchanged
 from the pre-packed representation.
+
+numpy itself is imported on first use — the first dense decode,
+vectorized scatter, or widen — not when this module loads.  Importing
+numpy costs more than a warm analysis of a suite program, and no
+suite program's sets reach the dense paths.
 """
 
 from __future__ import annotations
 
 import os
+from importlib.util import find_spec
 from typing import Iterable, List
 
 WORD_BITS = 64
@@ -44,19 +50,20 @@ WORD_BITS = 64
 #: the big-int fallback engine even when numpy is importable.
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
+HAVE_NUMPY = (os.environ.get(NO_NUMPY_ENV, "") in ("", "0")
+              and find_spec("numpy") is not None)
 
-def _import_numpy():
-    if os.environ.get(NO_NUMPY_ENV, "") not in ("", "0"):
-        return None
-    try:
+#: The numpy module once :func:`_numpy` has imported it.
+_np = None
+
+
+def _numpy():
+    """numpy, imported on the first call (only when :data:`HAVE_NUMPY`)."""
+    global _np
+    if _np is None:
         import numpy
-    except ImportError:  # pragma: no cover - numpy baked into the image
-        return None
-    return numpy
-
-
-_np = _import_numpy()
-HAVE_NUMPY = _np is not None
+        _np = numpy
+    return _np
 
 #: A stored set narrower than this many words stays a big int; at or
 #: beyond it, :class:`PackedBits` switches to the word buffer.  Big-int
@@ -114,11 +121,12 @@ def _decode_ids_np(mask: int) -> List[int]:
     nbytes = (mask.bit_length() + 7) // 8
     if not nbytes:
         return []
-    raw = _np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=_np.uint8)
+    np = _numpy()
+    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
     # tolist() hands back plain Python ints: callers shift by these
     # positions (``1 << ident``), which would overflow numpy's int64.
-    return _np.flatnonzero(
-        _np.unpackbits(raw, bitorder="little")).tolist()
+    return np.flatnonzero(
+        np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def _scatter_ids_py(ids: Iterable[int]) -> int:
@@ -129,7 +137,8 @@ def _scatter_ids_py(ids: Iterable[int]) -> int:
 
 
 def _scatter_ids_np(ids) -> int:
-    ids = _np.asarray(ids)
+    np = _numpy()
+    ids = np.asarray(ids)
     n = len(ids)
     if not n:
         return 0
@@ -139,10 +148,10 @@ def _scatter_ids_np(ids) -> int:
             mask |= 1 << ident
         return mask
     top = int(ids.max())
-    flags = _np.zeros(((top >> 3) + 1) << 3, dtype=_np.uint8)
+    flags = np.zeros(((top >> 3) + 1) << 3, dtype=np.uint8)
     flags[ids] = 1
     return int.from_bytes(
-        _np.packbits(flags, bitorder="little").tobytes(), "little")
+        np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 if HAVE_NUMPY:
@@ -183,19 +192,21 @@ class PackedBits:
     # -- representation management ----------------------------------------
 
     def _widen(self, nwords: int) -> None:
-        """Move to (or grow) the word buffer, geometrically."""
+        """Move to (or grow) the word buffer, geometrically.  Every
+        packed-mode path below runs after this, so numpy is loaded."""
+        np = _numpy()
         capacity = max(nwords, SWITCH_WORDS)
         if self._words is not None:
             capacity = max(capacity, 2 * len(self._words))
             used = self._words[:self._nwords]
-            buf = _np.zeros(capacity, dtype=_np.uint64)
+            buf = np.zeros(capacity, dtype=np.uint64)
             buf[:self._nwords] = used
         else:
             capacity = max(capacity, 2 * nwords)
-            buf = _np.zeros(capacity, dtype=_np.uint64)
+            buf = np.zeros(capacity, dtype=np.uint64)
             if self._int:
                 existing = words_for(self._int.bit_length())
-                buf[:existing] = _np.frombuffer(
+                buf[:existing] = np.frombuffer(
                     self._int.to_bytes(existing * 8, "little"),
                     dtype="<u8")
                 self._nwords = existing

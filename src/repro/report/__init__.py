@@ -1,41 +1,2 @@
 """Reporting: the paper's published numbers, table rendering, and the
 per-figure experiment drivers."""
-
-from . import paper
-from .experiments import (
-    EXPERIMENT_IDS,
-    SuiteRunner,
-    fig2_rows,
-    fig3_rows,
-    fig4_rows,
-    fig6_rows,
-    fig7_rows,
-    gap_rows,
-    opt42_rows,
-    perf_rows,
-    render_experiment,
-    struct51_rows,
-)
-from .export import comparison_to_dict, result_to_dict, result_to_json
-from .tables import render_markdown, render_table
-
-__all__ = [
-    "EXPERIMENT_IDS",
-    "SuiteRunner",
-    "fig2_rows",
-    "fig3_rows",
-    "fig4_rows",
-    "fig6_rows",
-    "fig7_rows",
-    "gap_rows",
-    "comparison_to_dict",
-    "opt42_rows",
-    "paper",
-    "perf_rows",
-    "render_experiment",
-    "render_markdown",
-    "render_table",
-    "result_to_dict",
-    "result_to_json",
-    "struct51_rows",
-]

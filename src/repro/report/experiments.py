@@ -28,16 +28,13 @@ from ..analysis.stats import (
     pruning_coverage,
     structure_stats,
 )
+from ..choices import EXPERIMENT_IDS
 from ..errors import ReproError
 from ..ir.graph import Program
 from ..suite.adversarial import load_cs_wins
 from ..suite.registry import PROGRAM_NAMES, load_program
 from . import paper
 from .tables import render_table
-
-EXPERIMENT_IDS = ("fig2", "fig3", "fig4", "fig6", "fig7", "cost",
-                  "opt42", "perf43", "struct51", "gap", "checkers",
-                  "slicing")
 
 
 class SuiteRunner:

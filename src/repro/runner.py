@@ -44,14 +44,16 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .analysis.common import AnalysisResult
 from .cpus import available_cpus
 from .errors import ReproError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .analysis.common import AnalysisResult
 
 #: Analysis flavors the driver understands, in run order (CI first:
 #: the CS pass reuses its result, the FI baseline is independent).
@@ -183,10 +185,6 @@ def _analyze_program(program, flavors: Tuple[str, ...], schedule: str,
                      incremental: bool = False,
                      cache: object = True
                      ) -> Dict[str, AnalysisResult]:
-    from .analysis.flowinsensitive import analyze_flowinsensitive
-    from .analysis.insensitive import analyze_insensitive
-    from .analysis.sensitive import analyze_sensitive
-
     if incremental:
         from .analysis.incremental import analyze_incremental
         return analyze_incremental(program, flavors=flavors,
@@ -194,15 +192,18 @@ def _analyze_program(program, flavors: Tuple[str, ...], schedule: str,
                                    parallel_scc=parallel_scc)
     results: Dict[str, AnalysisResult] = {}
     if "insensitive" in flavors or "sensitive" in flavors:
+        from .analysis.insensitive import analyze_insensitive
         ci = analyze_insensitive(program, schedule=schedule,
                                  parallel_scc=parallel_scc)
         if "insensitive" in flavors:
             results["insensitive"] = ci
         if "sensitive" in flavors:
+            from .analysis.sensitive import analyze_sensitive
             results["sensitive"] = analyze_sensitive(
                 program, ci_result=ci, schedule=schedule,
                 parallel_scc=parallel_scc)
     if "flowinsensitive" in flavors:
+        from .analysis.flowinsensitive import analyze_flowinsensitive
         results["flowinsensitive"] = analyze_flowinsensitive(
             program, schedule=schedule, parallel_scc=parallel_scc)
     return results
@@ -224,7 +225,7 @@ def _suite_worker(task) -> TaskOutcome:
 
 def _file_worker(task) -> TaskOutcome:
     path, flavors, schedule, cache, parallel_scc, incremental = task
-    from .frontend.lower import lower_file
+    from .frontend.pipeline import lower_file
     from .telemetry import result_records
 
     name = str(path)
@@ -270,7 +271,7 @@ def _check_worker(task) -> TaskOutcome:
         from .suite.registry import load_program
         program = load_program(name, cache=cache, hazard_model=True)
     else:
-        from .frontend.lower import lower_file
+        from .frontend.pipeline import lower_file
         program = lower_file(name, cache=cache, hazard_model=True)
     results = _analyze_program(program, flavors, schedule, parallel_scc,
                                incremental, cache)
@@ -328,7 +329,7 @@ def _serve_analyze_worker(task) -> TaskOutcome:
         from .suite.registry import load_program
         program = load_program(name, cache=cache)
     else:
-        from .frontend.lower import lower_file
+        from .frontend.pipeline import lower_file
         program = lower_file(name, cache=cache)
     results = _analyze_program(program, flavors, schedule, parallel_scc,
                                incremental, cache)
@@ -366,7 +367,7 @@ def _slice_worker(task) -> TaskOutcome:
         from .suite.registry import load_program
         program = load_program(name, cache=cache, hazard_model=hazard)
     else:
-        from .frontend.lower import lower_file
+        from .frontend.pipeline import lower_file
         program = lower_file(name, cache=cache, hazard_model=hazard)
     result = _analyze_program(program, (flavor,), schedule, parallel_scc,
                               incremental, cache)[flavor]
@@ -536,6 +537,9 @@ def _run_isolated(worker, task) -> TaskOutcome:
     — while innocent bystanders just complete.  (Re-running inline
     would let an ``os._exit`` task kill the driver itself.)
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     guarded = _GUARDED.get(worker, worker)
     try:
         with ProcessPoolExecutor(max_workers=1) as pool:
@@ -618,6 +622,10 @@ def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
             outcomes[index] = outcome
         return RunReport(outcomes=list(outcomes))
 
+    from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                    wait)
+    from concurrent.futures.process import BrokenProcessPool
+
     pending_retry: List[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(guarded, task): index
@@ -696,6 +704,8 @@ class WorkerPool:
         self.worker_deaths = 0
 
     def _executor(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
@@ -710,6 +720,8 @@ class WorkerPool:
 
     def run(self, worker, task) -> TaskOutcome:
         """Run one task to an outcome, blocking the calling thread."""
+        from concurrent.futures.process import BrokenProcessPool
+
         guarded = _GUARDED.get(worker, worker)
         pool = self._executor()
         try:

@@ -532,7 +532,7 @@ class AnalysisService:
                                        cache=self.config.cache,
                                        hazard_model=hazard)
             else:
-                from ..frontend.lower import lower_file
+                from ..frontend.pipeline import lower_file
                 program = lower_file(target.name,
                                      cache=self.config.cache,
                                      hazard_model=hazard)

@@ -1,36 +1,2 @@
 """Benchmark suite: the 13 Figure 2 programs plus adversarial
 generators where context-sensitivity provably wins."""
-
-from .adversarial import (
-    assumption_chain_source,
-    cs_wins_source,
-    deep_chain_source,
-    load_assumption_chain,
-    load_cs_wins,
-    load_deep_chain,
-    load_swap_cells,
-    swap_cells_source,
-)
-from .registry import (
-    PROGRAM_NAMES,
-    load_all,
-    load_program,
-    program_path,
-    source_text,
-)
-
-__all__ = [
-    "PROGRAM_NAMES",
-    "assumption_chain_source",
-    "cs_wins_source",
-    "deep_chain_source",
-    "load_all",
-    "load_assumption_chain",
-    "load_cs_wins",
-    "load_deep_chain",
-    "load_program",
-    "load_swap_cells",
-    "program_path",
-    "source_text",
-    "swap_cells_source",
-]

@@ -12,9 +12,12 @@ a blindness of the harness.
 from __future__ import annotations
 
 from io import StringIO
+from typing import TYPE_CHECKING
 
-from ..ir.graph import Program
-from ..frontend.lower import lower_source
+from ..frontend.pipeline import lower_source
+
+if TYPE_CHECKING:
+    from ..ir.graph import Program
 
 
 def cs_wins_source(n_sites: int) -> str:

@@ -10,11 +10,13 @@ evaluation's shape.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List
+from typing import TYPE_CHECKING, List
 
 from ..errors import SuiteError
-from ..ir.graph import Program
-from ..frontend.lower import lower_file
+from ..frontend.pipeline import lower_file
+
+if TYPE_CHECKING:
+    from ..ir.graph import Program
 
 #: Figure 2's benchmark names, in the paper's order.
 PROGRAM_NAMES: List[str] = [
@@ -62,12 +64,6 @@ def load_program(name: str, cache: object = True, **options) -> Program:
     lower from scratch.
     """
     return lower_file(program_path(name), cache=cache, **options)
-
-
-def load_all(cache: object = True, **options) -> Dict[str, Program]:
-    """Lower the entire suite, keyed by program name."""
-    return {name: load_program(name, cache=cache, **options)
-            for name in PROGRAM_NAMES}
 
 
 def fuzz_corpus(seed: int = 0, count: int = 20, max_nodes: int = 80):

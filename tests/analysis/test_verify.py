@@ -80,7 +80,7 @@ class TestVerifier:
         """)
         call = next(n for g in ci.program.functions.values()
                     for n in g.nodes if n.kind == "call")
-        ci.callgraph._callees[call] = set()
+        ci.callgraph._callees[call] = {}
         violations = verify_solution(ci)
         assert any(v.reason == "undiscovered call edge"
                    for v in violations)

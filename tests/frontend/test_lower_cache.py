@@ -1,5 +1,7 @@
 """Persistent lowering cache: hits, misses, corruption, invalidation."""
 
+import inspect
+import json
 import os
 import pickle
 import time
@@ -7,8 +9,10 @@ import time
 import pytest
 
 from repro.analysis.insensitive import analyze_insensitive
+from repro.cli import main
 from repro.frontend.cache import (
     CACHE_DIR_ENV,
+    LOWERING_DEFAULTS,
     NO_CACHE_ENV,
     _sweep_stale_tmps,
     clear_cache,
@@ -16,7 +20,7 @@ from repro.frontend.cache import (
     key_for_files,
     resolve_cache_dir,
 )
-from repro.frontend.lower import lower_file
+from repro.frontend.lower import ModuleLowerer, lower_file
 from repro.ir.graph import Program
 
 SOURCE = """
@@ -96,6 +100,40 @@ class TestInvalidation:
         cfile.write_text(SOURCE)
         lower_file(cfile, cache=cache_dir)
         assert len(_entries(cache_dir)) == 2
+
+
+class TestDefaultOptions:
+    """One lowering, one entry: an option passed at its default keys
+    exactly like an omitted one."""
+
+    def test_explicit_default_shares_the_omitted_key(self, cfile):
+        plain = key_for_files([cfile])
+        assert key_for_files([cfile],
+                             options={"hazard_model": False}) == plain
+        assert key_for_files([cfile],
+                             options={"hazard_model": True}) != plain
+
+    def test_defaults_match_the_lowerer(self):
+        params = inspect.signature(ModuleLowerer.__init__).parameters
+        defaults = {name: p.default for name, p in params.items()
+                    if p.default is not inspect.Parameter.empty
+                    and name not in ("linkage", "tu_name")}
+        assert LOWERING_DEFAULTS == defaults
+
+    def test_analyze_then_slice_share_one_entry(self, cfile, cache_dir,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(cache_dir))
+        assert main(["analyze", str(cfile)]) == 0
+        assert len(_entries(cache_dir)) == 1
+        forget_loaded(cache_dir)
+        telemetry = tmp_path / "slice.jsonl"
+        assert main(["slice", str(cfile), "--criterion", "prog.c:4",
+                     "--telemetry", str(telemetry)]) == 0
+        assert len(_entries(cache_dir)) == 1
+        (record,) = [json.loads(line)
+                     for line in telemetry.read_text().splitlines()]
+        assert record["cache"] == "hit"
 
 
 class TestHeaderInvalidation:

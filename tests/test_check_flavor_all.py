@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-import repro.frontend.lower as lower_module
+import repro.frontend.pipeline as pipeline_module
 from repro.runner import run_check_report
 
 SOURCE = """
@@ -42,13 +42,13 @@ def _check_all(source_c, cache, **kwargs):
 
 def test_flavor_all_lowers_once(source_c, tmp_path, monkeypatch):
     calls = []
-    real = lower_module.lower_file
+    real = pipeline_module.lower_file
 
     def spy(path, **kwargs):
         calls.append(str(path))
         return real(path, **kwargs)
 
-    monkeypatch.setattr(lower_module, "lower_file", spy)
+    monkeypatch.setattr(pipeline_module, "lower_file", spy)
     report = _check_all(source_c, cache=str(tmp_path / "cache"))
     assert not report.errors
     assert calls == [source_c]  # one task, one lowering, three flavors

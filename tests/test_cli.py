@@ -105,6 +105,13 @@ class TestExport:
         assert payload["flavor"] == "sensitive"
         assert "pairs" not in payload
 
+    def test_export_flowinsensitive(self, tiny_c, capsys):
+        import json
+        assert main(["export", tiny_c, "--sensitivity",
+                     "flowinsensitive"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flavor"] == "flowinsensitive"
+
 
 class TestExplain:
     def test_explain_indirect_op(self, tiny_c, capsys):
