@@ -1,19 +1,16 @@
 """Solver throughput and end-to-end sweep benchmark.
 
 Measures, and records in ``BENCH_solver.json`` at the repo root
-(report ``schema`` 2):
+(report ``schema`` 3):
 
 * **Solver throughput** — the CI fixpoint over the adversarial
   copy-chain workload (solver-bound: quadratic pair sets flowing
-  through a linear store chain), under every solver variant:
-  ``batched`` and ``scc`` run the word-packed dense fact engine,
-  ``scc-parallel`` additionally shards each topological level's
-  independent SCCs across worker threads, and ``fifo`` is the
-  object-at-a-time reference engine.  Reported per variant as
-  wall-clock, facts/sec (transfers per second), a solution digest,
-  and — for the dense variants — the representation counters
-  (fact ids interned, packed words, kernel calls, decode calls, SCC
-  count/levels/parallelism).
+  through a linear store chain), under both schedules: ``batched``
+  runs the dense bitset fact engine and ``fifo`` the object-at-a-time
+  reference engine.  Reported per schedule as wall-clock, facts/sec
+  (transfers per second), a solution digest, and — for ``batched`` —
+  the representation counters (fact ids interned, bitset words,
+  kernel calls, decode calls).
 * **Suite sweep** — the full CI+CS analysis of the suite programs,
   comparing the pre-batching configuration (cold lowering, FIFO
   schedule, one process) against the optimized path (persistent
@@ -28,10 +25,10 @@ Run directly::
 The ``--smoke`` mode runs a reduced workload (seconds, not minutes)
 and is wired into ``make bench-smoke`` / ``make test`` as a regression
 gate.  Both modes *fail* (nonzero exit) when the dense engine's
-solution digest differs from any other variant's (including the
-packed scc-parallel path), when a dense entry is missing the schema-2
-representation counters, or when the warm optimized sweep fails to
-beat the cold baseline (``end_to_end_speedup < 1.0``).
+solution digest differs from the FIFO reference's, when the batched
+entry is missing the representation counters, or when the warm
+optimized sweep fails to beat the cold baseline
+(``end_to_end_speedup < 1.0``).
 """
 
 from __future__ import annotations
@@ -59,56 +56,47 @@ from repro.suite.registry import PROGRAM_NAMES  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_solver.json"
 
-#: Measurement order: dense variants first (batched is the reference
-#: everything else is gated against), FIFO last as the slow baseline.
-#: Each variant is (report key, schedule, parallel_scc).
-VARIANTS = (
-    ("batched", "batched", False),
-    ("scc", "scc", False),
-    ("scc-parallel", "scc", True),
-    ("fifo", "fifo", False),
-)
+#: Measurement order: the dense engine first, FIFO last as the slow
+#: reference it is gated against.
+VARIANTS = ("batched", "fifo")
 
-#: Representation counters every dense entry must carry (schema 2).
-DENSE_COUNTERS = ("fact_ids", "bitset_words", "packed_words",
-                  "kernel_calls", "decode_calls")
+#: Representation counters the dense entry must carry.
+DENSE_COUNTERS = ("fact_ids", "bitset_words", "kernel_calls",
+                  "decode_calls")
 
 
 def bench_solver(width: int, length: int, repeats: int) -> dict:
-    """CI fixpoint over copy_chain under all three schedules."""
+    """CI fixpoint over copy_chain under both schedules."""
     program = load_copy_chain(width, length)
-    # Warm the per-program fact table (dense id interning) and the SCC
-    # order cache so every schedule times the solver proper, not the
-    # one-time first-touch interning of the shared program.
+    # Warm the per-program fact table (dense id interning) so every
+    # schedule times the solver proper, not the one-time first-touch
+    # interning of the shared program.
     analyze_insensitive(program, schedule="batched")
-    analyze_insensitive(program, schedule="scc")
     report = {"workload": f"copy_chain({width}, {length})"}
     digests = {}
-    for key, schedule, parallel_scc in VARIANTS:
-        def run(schedule=schedule, parallel_scc=parallel_scc):
-            return analyze_insensitive(program, schedule=schedule,
-                                       parallel_scc=parallel_scc)
+    for schedule in VARIANTS:
+        def run(schedule=schedule):
+            return analyze_insensitive(program, schedule=schedule)
         # The FIFO reference is ~2 orders of magnitude slower per
         # repeat; a handful of runs pins it down, and spending the
         # full repeat budget there would dominate the bench's
         # wall-clock for no extra precision.
         runs = repeats if schedule != "fifo" else min(repeats, 5)
         seconds, result = best_of(run, runs)
-        digests[key] = solution_digest(result)
+        digests[schedule] = solution_digest(result)
         entry = {
             "seconds": round(seconds, 6),
             "transfers": result.counters.transfers,
             "facts_per_sec": round(result.counters.transfers / seconds),
-            "digest": digests[key][:16],
+            "digest": digests[schedule][:16],
         }
         dense = result.extras.get("dense")
         if dense is not None:
             entry["dense"] = dict(dense)
-        report[key] = entry
+        report[schedule] = entry
     report["digests_identical"] = len(set(digests.values())) == 1
-    for key in ("batched", "scc", "scc-parallel"):
-        report[f"{key}_speedup_vs_fifo"] = round(
-            report["fifo"]["seconds"] / report[key]["seconds"], 3)
+    report["batched_speedup_vs_fifo"] = round(
+        report["fifo"]["seconds"] / report["batched"]["seconds"], 3)
     return report
 
 
@@ -197,7 +185,7 @@ def main(argv=None) -> int:
         sweep = bench_sweep(names, args.jobs, min(repeats, 10))
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "generated_unix": int(time.time()),
         "smoke": args.smoke,
         "machine": {
@@ -212,13 +200,11 @@ def main(argv=None) -> int:
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
-    for key, _, _ in VARIANTS:
-        entry = solver[key]
-        print(f"solver[{key}]: {entry['seconds']:.6f}s, "
+    for schedule in VARIANTS:
+        entry = solver[schedule]
+        print(f"solver[{schedule}]: {entry['seconds']:.6f}s, "
               f"{entry['facts_per_sec']:,} facts/s")
-    print(f"solver: batched {solver['batched_speedup_vs_fifo']}x, "
-          f"scc {solver['scc_speedup_vs_fifo']}x, scc-parallel "
-          f"{solver['scc-parallel_speedup_vs_fifo']}x vs fifo")
+    print(f"solver: batched {solver['batched_speedup_vs_fifo']}x vs fifo")
     print(f"sweep: {sweep['baseline_cold_fifo_serial_seconds']:.3f}s "
           f"cold/fifo/serial -> "
           f"{sweep['optimized_warm_batched_parallel_seconds']:.3f}s "
@@ -229,23 +215,15 @@ def main(argv=None) -> int:
 
     failures = []
     if not solver["digests_identical"]:
-        short = {key: solver[key]["digest"] for key, _, _ in VARIANTS}
+        short = {key: solver[key]["digest"] for key in VARIANTS}
         failures.append(
-            f"dense solution digest differs across variants: {short}")
-    for key in ("batched", "scc", "scc-parallel"):
-        dense = solver[key].get("dense", {})
-        missing = [c for c in DENSE_COUNTERS if c not in dense]
-        if missing:
-            failures.append(
-                f"solver[{key}] is missing schema-2 dense counters: "
-                f"{missing}")
-    for key in ("scc", "scc-parallel"):
-        dense = solver[key].get("dense", {})
-        missing = [c for c in ("scc_levels", "scc_parallelism")
-                   if c not in dense]
-        if missing:
-            failures.append(
-                f"solver[{key}] is missing SCC-level counters: {missing}")
+            f"dense solution digest differs from the fifo reference: "
+            f"{short}")
+    missing = [c for c in DENSE_COUNTERS
+               if c not in solver["batched"].get("dense", {})]
+    if missing:
+        failures.append(
+            f"solver[batched] is missing dense counters: {missing}")
     if sweep["end_to_end_speedup"] < 1.0:
         failures.append(
             "optimized warm sweep is slower than the cold baseline "

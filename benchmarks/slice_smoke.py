@@ -3,7 +3,7 @@
 For three suite programs this smoke computes one backward slice per
 program through :func:`repro.runner.run_slice_report` under every
 combination that has ever produced nondeterminism elsewhere in the
-codebase — batched/FIFO/SCC schedules, inline vs process-pool
+codebase — batched/FIFO schedules, inline vs process-pool
 (``jobs=2, force_pool``), lowering-cache cold vs warm — and *fails*
 (nonzero exit) unless:
 
@@ -49,7 +49,6 @@ PROGRAMS = ("part", "lex315", "loader")
 CONFIGS = (
     ("batched", {}),
     ("fifo", {"schedule": "fifo"}),
-    ("scc", {"schedule": "scc"}),
     ("jobs2", {"jobs": 2, "force_pool": True}),
     ("nocache", {"cache": False}),
 )

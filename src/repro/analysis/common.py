@@ -9,7 +9,6 @@ dynamically discovered call graph.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -32,7 +31,6 @@ from ..errors import AnalysisError
 from ..memory.access import EMPTY_OFFSET, AccessPath
 from ..memory.base import LocationKind
 from ..memory.facttable import FactTable, bitset_words
-from ..memory.packedbits import PackedBits
 from ..memory.pairs import PointsToPair
 from ..ir.graph import FunctionGraph, Program
 from ..ir.nodes import CallNode, InputPort, LookupNode, Node, OutputPort, UpdateNode
@@ -156,23 +154,15 @@ class PointsToSolution:
         #: by one analysis share the program-wide table so CI, CS, and
         #: repeat runs agree on ids.
         self.table = table if table is not None else FactTable()
-        #: Per-output fact set, stored word-packed: narrow sets stay
-        #: big ints, wide sets live in a fixed-width u64 buffer joined
-        #: in place (see :mod:`repro.memory.packedbits`).  The bitset
-        #: *values* exchanged with callers remain plain ints.
-        self._packed: Dict[OutputPort, PackedBits] = {}
+        #: Per-output fact set, one big-int bitset each.
+        self._masks: Dict[OutputPort, int] = {}
         #: Decode cache: output → (bits snapshot, decoded frozenset).
         self._decoded: Dict[OutputPort, Tuple[int, FrozenSet[PointsToPair]]] = {}
 
     # -- mutation (analysis-internal) -------------------------------------
 
     def add(self, output: OutputPort, pair: PointsToPair) -> bool:
-        bit = 1 << self.table.pair_id(pair)
-        packed = self._packed.get(output)
-        if packed is None:
-            self._packed[output] = PackedBits(bit)
-            return True
-        return packed.or_mask(bit) != 0
+        return self.join_mask(output, 1 << self.table.pair_id(pair)) != 0
 
     def join(self, output: OutputPort,
              pairs: Iterable[PointsToPair]) -> Set[PointsToPair]:
@@ -186,21 +176,16 @@ class PointsToSolution:
 
     def join_mask(self, output: OutputPort, mask: int) -> int:
         """Bitset delta-join: OR ``mask`` into the output's set and
-        return the sub-bitset of genuinely new facts.  The workhorse of
-        the dense engine — an in-place word-packed join replaces
-        per-pair membership tests."""
-        packed = self._packed.get(output)
-        if packed is None:
-            if not mask:
-                return 0
-            self._packed[output] = PackedBits(mask)
-            return mask
-        return packed.or_mask(mask)
+        return the sub-bitset of genuinely new facts."""
+        old = self._masks.get(output, 0)
+        new = mask & ~old
+        if new:
+            self._masks[output] = old | new
+        return new
 
     def mask(self, output: OutputPort) -> int:
         """The output's current bitset (0 when empty)."""
-        packed = self._packed.get(output)
-        return packed.to_mask() if packed is not None else 0
+        return self._masks.get(output, 0)
 
     def targets_mask(self, output: OutputPort) -> int:
         """Path-id bitset of :meth:`targets` (the direct referents of
@@ -257,36 +242,17 @@ class PointsToSolution:
         raise AnalysisError(f"{node!r} is not a memory operation")
 
     def outputs(self) -> Iterator[OutputPort]:
-        return iter(self._packed)
+        return iter(self._masks)
 
     def total_pairs(self) -> int:
-        return sum(packed.popcount() for packed in self._packed.values())
+        return sum(mask.bit_count() for mask in self._masks.values())
 
     def bitset_words(self) -> int:
         """Total 64-bit words the per-output bitsets span (telemetry)."""
-        return sum(bitset_words(packed.to_mask())
-                   for packed in self._packed.values())
-
-    def packed_words(self) -> int:
-        """Total 64-bit words of per-output *storage* (telemetry):
-        buffer allocations for packed sets, spanned words for sets
-        still in the narrow big-int representation."""
-        return sum(packed.storage_words()
-                   for packed in self._packed.values())
-
-    def storage_stats(self) -> Tuple[int, int]:
-        """``(bitset_words, packed_words)`` in one sweep — the dense
-        engine reports both every run, and one pass over the outputs
-        halves the telemetry cost of a warm solve."""
-        spanned = 0
-        allocated = 0
-        for packed in self._packed.values():
-            spanned += (packed.bit_length() + 63) >> 6
-            allocated += packed.storage_words()
-        return spanned, allocated
+        return sum(bitset_words(mask) for mask in self._masks.values())
 
     def items(self) -> Iterator[tuple[OutputPort, FrozenSet[PointsToPair]]]:
-        for output in self._packed:
+        for output in self._masks:
             yield output, self.pairs(output)
 
 
@@ -388,19 +354,6 @@ class BatchedWorklist:
         else:
             bucket.append(fact)
 
-    def push_many(self, input_port: InputPort, facts: Iterable[object]) -> None:
-        if input_port is None:
-            raise AnalysisError(
-                "facts pushed to a None input port (dangling graph edge?)")
-        bucket = self.pending.get(input_port)
-        if bucket is None:
-            bucket = list(facts)
-            if bucket:
-                self.pending[input_port] = bucket
-                self._dirty.append(input_port)
-        else:
-            bucket.extend(facts)
-
     def pop(self) -> Tuple[InputPort, List[object]]:
         """Pop the oldest dirty port with all its pending facts."""
         port = self._dirty.popleft()
@@ -452,220 +405,6 @@ class MaskWorklist:
 
     def __len__(self) -> int:
         return len(self._dirty)
-
-
-class _SccQueue:
-    """Dirty-port bookkeeping shared by the SCC-priority worklists.
-
-    Ports are grouped by the topological index of their SCC in the
-    port dependency graph (see :mod:`repro.analysis.scheduling`); the
-    next pop always comes from the *lowest* dirty SCC, and within an
-    SCC ports rotate round-robin (a re-dirtied port re-enters at the
-    back of its component's queue).  Facts that flow "backwards" —
-    e.g. through a dynamically discovered call edge the static
-    condensation could not see — simply re-activate an earlier SCC.
-    """
-
-    __slots__ = ("_order", "_queues", "_heap", "_queued")
-
-    def __init__(self, order: Mapping[InputPort, int]) -> None:
-        self._order = order
-        self._queues: Dict[int, deque] = {}
-        self._heap: List[int] = []
-        self._queued: Set[int] = set()
-
-    def enqueue(self, port: InputPort) -> None:
-        index = self._order.get(port, 0)
-        queue = self._queues.get(index)
-        if queue is None:
-            queue = self._queues[index] = deque()
-        queue.append(port)
-        if index not in self._queued:
-            self._queued.add(index)
-            heapq.heappush(self._heap, index)
-
-    def dequeue(self) -> InputPort:
-        while True:
-            index = self._heap[0]
-            queue = self._queues.get(index)
-            if queue:
-                return queue.popleft()
-            heapq.heappop(self._heap)
-            self._queued.discard(index)
-
-
-class SCCMaskWorklist:
-    """:class:`MaskWorklist` with SCC-priority scheduling.
-
-    Dirty ports live in one heap of ``(scc index, sequence, port)``
-    entries rather than the per-SCC deque map of :class:`_SccQueue`:
-    push and pop are the dense solver's innermost operations, and one
-    heap operation beats the deque-map's four dict/deque touches.  The
-    monotone sequence number preserves exactly the deque scheme's
-    order — FIFO within an SCC, re-dirtied ports re-entering at the
-    back — and, being unique, keeps the (unorderable) ports out of
-    tuple comparisons.  A heap entry exists iff its port is pending
-    (pushes only on the absent→pending transition, pops consume the
-    port), so entries are never stale.
-    """
-
-    __slots__ = ("pending", "_order", "_heap", "_seq")
-
-    def __init__(self, order: Mapping[InputPort, int]) -> None:
-        self.pending: Dict[InputPort, int] = {}
-        self._order = order
-        self._heap: List[Tuple[int, int, InputPort]] = []
-        self._seq = 0
-
-    def push_mask(self, input_port: InputPort, mask: int) -> None:
-        if input_port is None:
-            raise AnalysisError(
-                "facts pushed to a None input port (dangling graph edge?)")
-        if not mask:
-            return
-        pending = self.pending
-        current = pending.get(input_port)
-        if current is None:
-            pending[input_port] = mask
-            self._seq = seq = self._seq + 1
-            heapq.heappush(
-                self._heap,
-                (self._order.get(input_port, 0), seq, input_port))
-        else:
-            pending[input_port] = current | mask
-
-    def pop(self) -> Tuple[InputPort, int]:
-        port = heapq.heappop(self._heap)[2]
-        return port, self.pending.pop(port)
-
-    def __bool__(self) -> bool:
-        return bool(self.pending)
-
-    def __len__(self) -> int:
-        return len(self.pending)
-
-
-class LevelMaskWorklist:
-    """Mask worklist that drains one condensation *level* at a time.
-
-    Ports are grouped by ``(level, scc)`` from
-    :func:`repro.analysis.scheduling.port_scc_levels`.  ``pop_level``
-    removes every dirty port of the lowest dirty level and returns
-    them as per-SCC shards: two SCCs on the same level share no static
-    dependency path, so the shards can be drained concurrently.
-    Ports dirtied while a level runs — including ports of that same
-    level, re-activated by cyclic or dynamically discovered edges —
-    simply surface on a later ``pop_level``; the fixpoint loop runs
-    until nothing is pending, so priority stays a heuristic, never a
-    soundness obligation.
-
-    The structure itself is not thread-safe; the parallel driver
-    funnels every concurrent ``push_mask`` through the engine's join
-    lock and calls ``pop_level`` only between level barriers.
-    """
-
-    __slots__ = ("pending", "_info", "_levels", "_heap", "_queued")
-
-    def __init__(self, info: Mapping[InputPort, Tuple[int, int]]) -> None:
-        self.pending: Dict[InputPort, int] = {}
-        self._info = info
-        #: level → scc index → dirty ports, plus a heap of dirty levels.
-        self._levels: Dict[int, Dict[int, List[InputPort]]] = {}
-        self._heap: List[int] = []
-        self._queued: Set[int] = set()
-
-    def push_mask(self, input_port: InputPort, mask: int) -> None:
-        if input_port is None:
-            raise AnalysisError(
-                "facts pushed to a None input port (dangling graph edge?)")
-        if not mask:
-            return
-        current = self.pending.get(input_port)
-        if current is None:
-            self.pending[input_port] = mask
-            level, scc = self._info.get(input_port, (0, -1))
-            by_scc = self._levels.get(level)
-            if by_scc is None:
-                by_scc = self._levels[level] = {}
-            by_scc.setdefault(scc, []).append(input_port)
-            if level not in self._queued:
-                self._queued.add(level)
-                heapq.heappush(self._heap, level)
-        else:
-            self.pending[input_port] = current | mask
-
-    def pop_level(self) -> Optional[List[List[Tuple[InputPort, int]]]]:
-        """All dirty ports of the lowest dirty level, grouped into
-        per-SCC shards with their pending bitsets; None when drained."""
-        pending = self.pending
-        while self._heap:
-            level = heapq.heappop(self._heap)
-            self._queued.discard(level)
-            by_scc = self._levels.pop(level, None)
-            if not by_scc:
-                continue
-            shards = []
-            for ports in by_scc.values():
-                shard = [(port, pending.pop(port)) for port in ports
-                         if port in pending]
-                if shard:
-                    shards.append(shard)
-            if shards:
-                return shards
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.pending)
-
-    def __len__(self) -> int:
-        return len(self.pending)
-
-
-class SCCWorklist:
-    """:class:`BatchedWorklist` (fact-list buckets) with SCC-priority
-    scheduling — used by the CS and FI solvers, whose facts are not
-    bitset-encodable (qualified pairs / global-store cascades)."""
-
-    __slots__ = ("pending", "_queue")
-
-    def __init__(self, order: Mapping[InputPort, int]) -> None:
-        self.pending: Dict[InputPort, List[object]] = {}
-        self._queue = _SccQueue(order)
-
-    def push(self, input_port: InputPort, fact: object) -> None:
-        if input_port is None:
-            raise AnalysisError(
-                f"fact {fact!r} pushed to a None input port (dangling "
-                "graph edge?)")
-        bucket = self.pending.get(input_port)
-        if bucket is None:
-            self.pending[input_port] = [fact]
-            self._queue.enqueue(input_port)
-        else:
-            bucket.append(fact)
-
-    def push_many(self, input_port: InputPort, facts: Iterable[object]) -> None:
-        if input_port is None:
-            raise AnalysisError(
-                "facts pushed to a None input port (dangling graph edge?)")
-        bucket = self.pending.get(input_port)
-        if bucket is None:
-            bucket = list(facts)
-            if bucket:
-                self.pending[input_port] = bucket
-                self._queue.enqueue(input_port)
-        else:
-            bucket.extend(facts)
-
-    def pop(self) -> Tuple[InputPort, List[object]]:
-        port = self._queue.dequeue()
-        return port, self.pending.pop(port)
-
-    def __bool__(self) -> bool:
-        return bool(self.pending)
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.pending.values())
 
 
 def resolve_function_value(program: Program, referent: AccessPath

@@ -46,12 +46,10 @@ from .common import (
     CallGraph,
     Counters,
     PointsToSolution,
-    SCCWorklist,
     Worklist,
     check_schedule,
     resolve_function_value,
 )
-from .scheduling import port_scc_order
 from ..memory.facttable import FactTable
 
 
@@ -70,12 +68,9 @@ class FlowInsensitiveAnalysis:
         self.solution = PointsToSolution(FactTable.for_program(program))
         self.callgraph = CallGraph()
         self.counters = Counters()
-        if self.schedule == "scc":
-            self.worklist: object = SCCWorklist(port_scc_order(program)[0])
-        elif self.schedule == "batched":
-            self.worklist = BatchedWorklist()
-        else:
-            self.worklist = Worklist()
+        self.worklist: object = (BatchedWorklist()
+                                 if self.schedule == "batched"
+                                 else Worklist())
         #: The single global store: set of (location path, referent).
         self.global_store: Set[PointsToPair] = set()
         #: All lookups, re-fired whenever the global store grows.
@@ -91,7 +86,7 @@ class FlowInsensitiveAnalysis:
             self._add_store_pair(pair)
         for output, pair in self.program.seeded_values:
             self.flow_out(output, pair)
-        if self.schedule != "fifo":
+        if self.schedule == "batched":
             while self.worklist:
                 input_port, facts = self.worklist.pop()
                 self.counters.batches += 1
@@ -258,12 +253,6 @@ class FlowInsensitiveAnalysis:
 
 
 def analyze_flowinsensitive(program: Program,
-                            schedule: str = "batched",
-                            parallel_scc: bool = False) -> AnalysisResult:
-    """Run the Weihl-style program-wide baseline.
-
-    ``parallel_scc`` is accepted for driver uniformity but ignored: the
-    flow-insensitive solver collapses the program to a single merged
-    store, so there is no SCC level structure to shard across workers.
-    """
+                            schedule: str = "batched") -> AnalysisResult:
+    """Run the Weihl-style program-wide baseline."""
     return FlowInsensitiveAnalysis(program, schedule=schedule).run()

@@ -240,15 +240,13 @@ class IncrementalInsensitiveAnalysis(InsensitiveAnalysis):
 
     Construct, replay the frozen summaries into ``.solution`` /
     ``.callgraph`` (:func:`summaries.apply_summary`), then ``run()``.
-    Always serial ``batched``: the parallel driver shadows
-    ``flow_out_mask`` with an instance attribute, which would bypass
-    the suppression override below, and partial solves are small by
-    design — the dirty cone is the work.
+    Always ``batched``: the suppression override below hooks the dense
+    engine's ``flow_out_mask``.
     """
 
     def __init__(self, program: Program,
                  frozen_graphs: Iterable[FunctionGraph]) -> None:
-        super().__init__(program, schedule="batched", parallel_scc=False)
+        super().__init__(program, schedule="batched")
         self._frozen_graphs: Set[FunctionGraph] = set(frozen_graphs)
         #: Masks pushed at frozen outputs this run (seeds, dirty-caller
         #: actuals); the validation checks work over this ledger.
@@ -383,9 +381,9 @@ def _incremental_counters(extras: dict, *, resolved: int, reused: int,
 
 
 def _replay_dense(table: FactTable, solution: PointsToSolution) -> dict:
-    spanned, packed = solution.storage_stats()
-    return {"fact_ids": table.pair_count(), "bitset_words": spanned,
-            "packed_words": packed, "kernel_calls": 0, "decode_calls": 0}
+    return {"fact_ids": table.pair_count(),
+            "bitset_words": solution.bitset_words(),
+            "kernel_calls": 0, "decode_calls": 0}
 
 
 def _dirty_partition(cond: Condensation, loaded: Dict[int, Summary]
@@ -436,8 +434,7 @@ def _load_all(store: SummaryStore, flavor: str, keys: Sequence[str]
 
 def _solve_ci(program: Program, store: Optional[SummaryStore],
               cond: Condensation, keys: Sequence[str],
-              codec: LocationCodec, schedule: str, parallel_scc: bool,
-              jobs: Optional[int]) -> AnalysisResult:
+              codec: LocationCodec, schedule: str) -> AnalysisResult:
     """CI with replay/partial/cold selection and cold fallback.
 
     Replay is the ``dirty = ∅`` degenerate case of the partial engine:
@@ -451,8 +448,7 @@ def _solve_ci(program: Program, store: Optional[SummaryStore],
     total = len(cond.sccs)
 
     def cold(hits: int) -> AnalysisResult:
-        result = analyze_insensitive(program, schedule=schedule,
-                                     parallel_scc=parallel_scc, jobs=jobs)
+        result = analyze_insensitive(program, schedule=schedule)
         _incremental_counters(result.extras, resolved=total, reused=0,
                               hits=hits, total=total)
         return result
@@ -581,8 +577,6 @@ def analyze_incremental(program: Program,
                         flavors: Sequence[str] = FLAVORS, *,
                         cache: object = True,
                         schedule: str = "batched",
-                        parallel_scc: bool = False,
-                        jobs: Optional[int] = None,
                         store_max_bytes: Optional[int] = None
                         ) -> Dict[str, AnalysisResult]:
     """Analyze ``program`` for ``flavors``, reusing and refreshing the
@@ -623,8 +617,7 @@ def analyze_incremental(program: Program,
     results: Dict[str, AnalysisResult] = {}
     ci_result: Optional[AnalysisResult] = None
     if need_ci:
-        ci_result = _solve_ci(program, store, cond, keys, codec,
-                              schedule, parallel_scc, jobs)
+        ci_result = _solve_ci(program, store, cond, keys, codec, schedule)
         if "insensitive" in want:
             results["insensitive"] = ci_result
     for flavor in ("sensitive", "flowinsensitive"):

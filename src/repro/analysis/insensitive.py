@@ -20,7 +20,7 @@ Termination: outputs and pairs are finite and sets only grow, giving
 the paper's O(n³) worst case (O(n²) average when each pointer has a
 small constant number of referents).
 
-Three schedules drive the same transfer functions (the paper notes
+Two schedules drive the same transfer functions (the paper notes
 convergence is independent of the scheduling strategy):
 
 * ``"batched"`` (default) — the **dense engine**: facts are bitsets
@@ -29,9 +29,6 @@ convergence is independent of the scheduling strategy):
   through one pre-bound handler, and the pure-forwarding transfer
   functions (merges, copies, call/return plumbing, store pass-through)
   reduce to big-int OR / AND-NOT with no per-fact Python loop;
-* ``"scc"`` — the same dense engine, but ports pop in topological
-  order of the port dependency graph's SCC condensation (round-robin
-  within a component; see :mod:`repro.analysis.scheduling`);
 * ``"fifo"`` — the original one-fact-per-pop queue over interned pair
   objects, kept as the reference implementation for the
   schedule-equivalence gate.
@@ -40,34 +37,20 @@ The dense engine's transfer functions run on the **translation
 kernels** of :class:`~repro.memory.facttable.FactTable`: each
 lookup/update/primop image is a pure function of interned ids,
 classified once per table and served from exact-mask memos afterwards,
-so warm solves are dict probes plus word-packed joins with no pair
+so warm solves are dict probes plus big-int joins with no pair
 objects materialized.  Handlers take ``(engine, mask)`` and capture
 only run-independent state (ports, the table), so the bound dispatch
 is cached per program and rebinding costs nothing on repeat runs.
-
-``--parallel-scc`` adds intra-program parallelism on top of the
-``scc`` schedule: the condensation's topological *levels* (see
-:func:`repro.analysis.scheduling.port_scc_levels`) bound which SCCs
-can be in flight together, and each level's dirty components are
-sharded across worker threads.  Joins (and every handler that reads a
-sibling input or the call graph) serialize on one reentrant lock, so
-no update is ever lost and CWZ90's last-arrival discipline for
-(location, store) combinations is preserved — which is exactly why
-the solution, and hence the digest gate, is schedule- and
-interleaving-independent: the fixpoint of a monotone system with
-no lost updates does not depend on join order.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..memory.access import EMPTY_OFFSET, INDEX, AccessPath
 from ..memory.facttable import FactTable
-from ..memory.packedbits import PackedBits
 from ..memory.pairs import PointsToPair, direct, pair as make_pair
 from ..memory.relations import dom, strong_dom
 from ..ir.graph import FunctionGraph, Program
@@ -84,25 +67,18 @@ from ..ir.nodes import (
     UpdateNode,
     input_roles,
 )
-from ..cpus import available_cpus
 from .common import (
     AnalysisResult,
     CallGraph,
     Counters,
-    LevelMaskWorklist,
     MaskWorklist,
     PointsToSolution,
-    SCCMaskWorklist,
     Worklist,
     check_schedule,
     resolve_function_value,
     seed_addresses,
     seed_roots,
 )
-from .scheduling import port_scc_levels, port_scc_order
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 #: A dense batch handler consumes one port's pending fact bitset on
 #: behalf of an engine: ``handler(engine, mask)``.  Handlers close
@@ -134,16 +110,8 @@ _SEED_PLAN_KEY = "ci_seed_plan"
 class InsensitiveAnalysis:
     """One run of the context-insensitive analysis over a program."""
 
-    def __init__(self, program: Program, schedule: str = "batched",
-                 parallel_scc: bool = False,
-                 jobs: Optional[int] = None) -> None:
+    def __init__(self, program: Program, schedule: str = "batched") -> None:
         self.program = program
-        if parallel_scc:
-            if schedule == "fifo":
-                raise AnalysisError(
-                    "--parallel-scc requires a dense schedule; the fifo "
-                    "reference engine is single-fact and serial")
-            schedule = "scc"  # batched upgrades: parallelism needs levels
         self.schedule = check_schedule(schedule)
         self.table = FactTable.for_program(program)
         self.solution = PointsToSolution(self.table)
@@ -154,35 +122,16 @@ class InsensitiveAnalysis:
             dispatch = _DispatchCache()
             program.extras[_DispatchCache.EXTRAS_KEY] = dispatch
         self._dispatch: Dict[InputPort, MaskHandler] = dispatch
-        self._dense = self.schedule != "fifo"
-        self._scc_count: Optional[int] = None
-        self._scc_levels: Optional[int] = None
-        self._parallel = bool(parallel_scc)
-        # available_cpus() costs a sched_getaffinity syscall — only
-        # pay it when the run actually shards work across threads.
-        self._jobs = (max(1, jobs) if jobs
-                      else available_cpus() if parallel_scc else 1)
-        self._max_parallelism = 1
-        #: Per-run handler state: location-list snapshots keyed by the
-        #: feeding output, and update-store classification memos keyed
-        #: by node (see the update.store handler).
+        self._dense = self.schedule == "batched"
+        #: Per-run handler state: location-list (dense) and pair-list
+        #: (FIFO) snapshots keyed by the feeding output, and
+        #: update-store classification memos keyed by node (see the
+        #: update.store handler).
         self._loc_cache: Dict[OutputPort, Tuple[int, List[AccessPath]]] = {}
+        self._pair_cache: Dict[OutputPort,
+                               Tuple[int, List[PointsToPair]]] = {}
         self._node_state: Dict[Node, dict] = {}
-        #: Reentrant join lock, installed only by the parallel driver;
-        #: None keeps the serial hot path branch-cheap and lock-free.
-        self._lock: Optional[threading.RLock] = None
-        if self._parallel:
-            info, self._scc_levels, self._scc_count = \
-                port_scc_levels(program)
-            self.worklist: object = LevelMaskWorklist(info)
-        elif self.schedule == "scc":
-            order, self._scc_count = port_scc_order(program)
-            _, self._scc_levels, _ = port_scc_levels(program)
-            self.worklist = SCCMaskWorklist(order)
-        elif self.schedule == "batched":
-            self.worklist = MaskWorklist()
-        else:
-            self.worklist = Worklist()
+        self.worklist: object = MaskWorklist() if self._dense else Worklist()
 
     # -- driver ------------------------------------------------------------
 
@@ -190,30 +139,22 @@ class InsensitiveAnalysis:
         decode_calls_before = self.table.decode_calls
         kernel_calls_before = self.table.kernel_calls
         started = time.perf_counter()
-        if self._parallel:
-            self._run_parallel()
-        elif self._dense:
+        if self._dense:
             self._run_dense()
         else:
             self._run_fifo()
         elapsed = time.perf_counter() - started
-        spanned_words, packed_words = self.solution.storage_stats()
         extras = {
             "phases": {"solve": elapsed},
             "dense": {
                 "fact_ids": self.table.pair_count(),
-                "bitset_words": spanned_words,
-                "packed_words": packed_words,
+                "bitset_words": self.solution.bitset_words(),
                 "kernel_calls": self.table.kernel_calls
                 - kernel_calls_before,
                 "decode_calls": self.table.decode_calls
                 - decode_calls_before,
             },
         }
-        if self._scc_count is not None:
-            extras["dense"]["scc_count"] = self._scc_count
-            extras["dense"]["scc_levels"] = self._scc_levels
-            extras["dense"]["scc_parallelism"] = self._max_parallelism
         return AnalysisResult(
             program=self.program,
             solution=self.solution,
@@ -289,78 +230,6 @@ class InsensitiveAnalysis:
             counters.batches += batches
             counters.transfers += transfers
 
-    def _run_parallel(self) -> None:
-        """Level-synchronous parallel drain (``--parallel-scc``).
-
-        The main thread pops one whole topological level of dirty
-        ports, grouped into per-SCC shards, and hands the shards to
-        worker threads; it then barriers on the level before popping
-        the next (re-dirtied ports — same level included — surface on
-        a later pop).  Workers never pop: every push happens inside
-        :meth:`flow_out_mask` under the engine lock, so no update is
-        lost, and handlers that read sibling inputs or the call graph
-        run fully under the same lock (their ``locked`` tag), which
-        preserves the last-arrival discipline that makes the fixpoint
-        interleaving-independent."""
-        self._lock = threading.RLock()
-        self.table.lock = self._lock
-        # Shadow the serial flow-out with the locked variant for the
-        # whole drain (handlers resolve it per call, so the instance
-        # attribute wins over the class method).
-        self.flow_out_mask = self._flow_out_mask_locked
-        self._seed_dense()
-        worklist = self.worklist
-        counters = self.counters
-        jobs = self._jobs
-        pool: Optional[ThreadPoolExecutor] = None
-        try:
-            while True:
-                shards = worklist.pop_level()
-                if shards is None:
-                    break
-                for shard in shards:
-                    counters.batches += len(shard)
-                    for _, mask in shard:
-                        counters.transfers += mask.bit_count()
-                if jobs > 1 and len(shards) > 1:
-                    if pool is None:
-                        from concurrent import futures
-                        pool = futures.ThreadPoolExecutor(
-                            max_workers=jobs,
-                            thread_name_prefix="repro-scc")
-                    width = min(len(shards), jobs)
-                    if width > self._max_parallelism:
-                        self._max_parallelism = width
-                    futures = [pool.submit(self._run_shard, shard)
-                               for shard in shards[1:]]
-                    self._run_shard(shards[0])
-                    for future in futures:
-                        future.result()
-                else:
-                    for shard in shards:
-                        self._run_shard(shard)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            self.table.lock = None
-            self._lock = None
-            del self.flow_out_mask  # restore the serial class method
-
-    def _run_shard(self, shard) -> None:
-        """Drain one SCC's dirty ports (worker-thread body)."""
-        dispatch = self._dispatch
-        bind_node = self._bind_node
-        lock = self._lock
-        for input_port, mask in shard:
-            handler = dispatch.get(input_port)
-            if handler is None:
-                handler = bind_node(input_port)
-            if lock is not None and getattr(handler, "locked", False):
-                with lock:
-                    handler(self, mask)
-            else:
-                handler(self, mask)
-
     # -- propagation ----------------------------------------------------------
 
     def flow_out(self, output: OutputPort, pair: PointsToPair) -> None:
@@ -381,50 +250,23 @@ class InsensitiveAnalysis:
     def flow_out_mask(self, output: OutputPort, mask: int) -> None:
         """Dense flow-out: one bitset delta-join for a whole batch of
         candidate facts, counters updated in bulk, and each consumer
-        notified once with the full delta.  This is the serial body —
-        the innermost call of every warm solve, so the join is inlined
-        (:meth:`PointsToSolution.join_mask` unwrapped) and there is no
-        lock bookkeeping.  The parallel driver shadows it with
-        :meth:`_flow_out_mask_locked` for the run's duration."""
+        notified once with the full delta.  The innermost call of
+        every warm solve, so the join is inlined
+        (:meth:`PointsToSolution.join_mask` unwrapped)."""
         if not mask:
             return
         counters = self.counters
         counters.meets += mask.bit_count()
-        packed = self.solution._packed.get(output)
-        if packed is None:
-            self.solution._packed[output] = PackedBits(mask)
-            new = mask
-        else:
-            new = packed.or_mask(mask)
-            if not new:
-                return
+        masks = self.solution._masks
+        old = masks.get(output, 0)
+        new = mask & ~old
+        if not new:
+            return
+        masks[output] = old | new
         counters.pairs_added += new.bit_count()
         push_mask = self.worklist.push_mask
         for consumer in output.consumers:
             push_mask(consumer, new)
-
-    def _flow_out_mask_locked(self, output: OutputPort,
-                              mask: int) -> None:
-        """:meth:`flow_out_mask` under the engine lock (reentrant —
-        locked handlers already hold it), installed as the instance's
-        ``flow_out_mask`` while ``--parallel-scc`` drains: joins never
-        lose updates and the delta each consumer sees is exact."""
-        if not mask:
-            return
-        lock = self._lock
-        lock.acquire()
-        try:
-            counters = self.counters
-            counters.meets += mask.bit_count()
-            new = self.solution.join_mask(output, mask)
-            if not new:
-                return
-            counters.pairs_added += new.bit_count()
-            push_mask = self.worklist.push_mask
-            for consumer in output.consumers:
-                push_mask(consumer, new)
-        finally:
-            lock.release()
 
     def _locs_at(self, source: Optional[OutputPort]) -> List[AccessPath]:
         """The location set denoted by the output feeding a loc input:
@@ -443,12 +285,23 @@ class InsensitiveAnalysis:
         self._loc_cache[source] = (bits, locs)
         return locs
 
-    def _pairs(self, input_port: Optional[InputPort]):
-        """Current pairs on the output feeding ``input_port`` (decoded
-        view; a snapshot, safe to iterate while the solution grows)."""
+    def _pairs(self, input_port: Optional[InputPort]
+               ) -> List[PointsToPair]:
+        """Current pairs on the output feeding ``input_port``, in fact
+        id order, snapshotted per bitset value like :meth:`_locs_at`
+        (safe to iterate while the solution grows; do not mutate).  Id
+        order, not the decoded frozenset's: pairs hash by identity, so
+        set order would make the FIFO counters depend on memory
+        layout."""
         if input_port is None or input_port.source is None:
-            return ()
-        return self.solution.raw_pairs(input_port.source)
+            return []
+        source = input_port.source
+        bits = self.solution.mask(source)
+        cached = self._pair_cache.get(source)
+        if cached is None or cached[0] != bits:
+            cached = (bits, self.table.decode_pairs(bits))
+            self._pair_cache[source] = cached
+        return cached[1]
 
     def _mask(self, input_port: Optional[InputPort]) -> int:
         """Current fact bitset on the output feeding ``input_port``."""
@@ -509,12 +362,12 @@ class InsensitiveAnalysis:
             if fact.path is not EMPTY_OFFSET:
                 return  # only the pointer value itself can be dereferenced
             r_l = fact.referent
-            for sp in list(self._pairs(node.store)):
+            for sp in self._pairs(node.store):
                 if dom(r_l, sp.path):
                     self.flow_out(node.out,
                                   make_pair(sp.path.subtract(r_l), sp.referent))
         elif input_port is node.store:
-            for lp in list(self._pairs(node.loc)):
+            for lp in self._pairs(node.loc):
                 if lp.path is not EMPTY_OFFSET:
                     continue
                 if dom(lp.referent, fact.path):
@@ -533,21 +386,21 @@ class InsensitiveAnalysis:
             if fact.path is not EMPTY_OFFSET:
                 return
             r_l = fact.referent
-            for vp in list(self._pairs(node.value)):
+            for vp in self._pairs(node.value):
                 self.flow_out(node.ostore,
                               make_pair(r_l.append(vp.path), vp.referent))
-            for sp in list(self._pairs(node.store)):
+            for sp in self._pairs(node.store):
                 if not strong_dom(r_l, sp.path):
                     self.flow_out(node.ostore, sp)
         elif input_port is node.store:
-            for lp in list(self._pairs(node.loc)):
+            for lp in self._pairs(node.loc):
                 if lp.path is not EMPTY_OFFSET:
                     continue
                 if not strong_dom(lp.referent, fact.path):
                     self.flow_out(node.ostore, fact)
                     break  # one non-killing location suffices
         elif input_port is node.value:
-            for lp in list(self._pairs(node.loc)):
+            for lp in self._pairs(node.loc):
                 if lp.path is not EMPTY_OFFSET:
                     continue
                 self.flow_out(node.ostore,
@@ -582,7 +435,7 @@ class InsensitiveAnalysis:
         self-recursive procedure an actual's source can be the callee's
         own formal output, so the iterated set is the one being grown.
         The dense path snapshots bitsets (immutable ints); the FIFO
-        path copies the decoded views via ``list()``.
+        path iterates the freshly decoded lists of :meth:`_pairs`.
         """
         if fact.path is not EMPTY_OFFSET:
             return
@@ -609,16 +462,16 @@ class InsensitiveAnalysis:
             formal = callee.corresponding_formal(index)
             if formal is None:
                 continue
-            for pair in list(self._pairs(arg)):
+            for pair in self._pairs(arg):
                 self.flow_out(formal, pair)
-        for pair in list(self._pairs(node.store)):
+        for pair in self._pairs(node.store):
             self.flow_out(callee.store_formal, pair)
         ret = callee.return_node
         if ret is not None:
             if ret.value is not None:
-                for pair in list(self._pairs(ret.value)):
+                for pair in self._pairs(ret.value):
                     self.flow_out(node.out, pair)
-            for pair in list(self._pairs(ret.store)):
+            for pair in self._pairs(ret.store):
                 self.flow_out(node.ostore, pair)
 
     def _flow_return(self, node: ReturnNode, input_port: InputPort,
@@ -682,14 +535,6 @@ def _make_handler(node: Node, role: str, index: int,
     handlers perform dict probes and big-int/word ops — no pair
     objects are decoded on the hot path.
 
-    Handlers that read *sibling* state (the other input of a lookup /
-    update, or the call graph) carry ``locked = True``: under
-    ``--parallel-scc`` they execute inside the engine lock, preserving
-    the serial engines' last-arrival discipline — whichever of a
-    (location, store) combination arrives second observes the other
-    side whole.  Pure-forwarding and single-input handlers stay
-    lock-free (their only mutation, :meth:`flow_out_mask`, locks
-    itself).
     """
     base_mask = table._base_masks.get
     direct_referents = table.direct_referents
@@ -723,7 +568,6 @@ def _make_handler(node: Node, role: str, index: int,
                         part = translate_lookup(r_l, candidates)
                     emit |= part
             eng.flow_out_mask(out, emit)
-        handler.locked = True
         return handler
 
     if role == "lookup.store":
@@ -746,7 +590,6 @@ def _make_handler(node: Node, role: str, index: int,
                         part = translate_lookup(r_l, relevant)
                     emit |= part
             eng.flow_out_mask(out, emit)
-        handler.locked = True
         return handler
 
     write_memos: Dict[AccessPath, Dict[int, int]] = {}
@@ -812,7 +655,6 @@ def _make_handler(node: Node, role: str, index: int,
                     released_all = True
                 emit |= store_bits & ~killed
             eng.flow_out_mask(ostore, emit)
-        handler.locked = True
         return handler
 
     if role == "update.store":
@@ -866,7 +708,6 @@ def _make_handler(node: Node, role: str, index: int,
                 state["classified"] |= unknown
                 state["killed"] |= killed
             eng.flow_out_mask(ostore, mask & ~state["killed"])
-        handler.locked = True
         return handler
 
     if role == "update.value":
@@ -887,7 +728,6 @@ def _make_handler(node: Node, role: str, index: int,
                     part = translate_writes(r_l, mask)
                 emit |= part
             eng.flow_out_mask(ostore, emit)
-        handler.locked = True
         return handler
 
     if role == "call.fcn":
@@ -896,7 +736,6 @@ def _make_handler(node: Node, role: str, index: int,
         def handler(eng, mask: int) -> None:
             for fact in decode(mask):
                 eng._discover_callee(node, fact)
-        handler.locked = True
         return handler
 
     if role == "call.store":
@@ -904,7 +743,6 @@ def _make_handler(node: Node, role: str, index: int,
             flow_out_mask = eng.flow_out_mask
             for callee in eng.callgraph.callees(node):
                 flow_out_mask(callee.store_formal, mask)
-        handler.locked = True
         return handler
 
     if role == "call.arg":
@@ -914,7 +752,6 @@ def _make_handler(node: Node, role: str, index: int,
                 formal = callee.corresponding_formal(index)
                 if formal is not None:
                     flow_out_mask(formal, mask)
-        handler.locked = True
         return handler
 
     if role == "return.value":
@@ -924,7 +761,6 @@ def _make_handler(node: Node, role: str, index: int,
             flow_out_mask = eng.flow_out_mask
             for call in eng.callgraph.callers(graph):
                 flow_out_mask(call.out, mask)
-        handler.locked = True
         return handler
 
     if role == "return.store":
@@ -934,7 +770,6 @@ def _make_handler(node: Node, role: str, index: int,
             flow_out_mask = eng.flow_out_mask
             for call in eng.callgraph.callers(graph):
                 flow_out_mask(call.ostore, mask)
-        handler.locked = True
         return handler
 
     if role == "merge.pred":
@@ -1012,15 +847,6 @@ def _make_primop_handler(node: PrimopNode, index: int,
 
 
 def analyze_insensitive(program: Program,
-                        schedule: str = "batched",
-                        parallel_scc: bool = False,
-                        jobs: Optional[int] = None) -> AnalysisResult:
-    """Run the context-insensitive analysis (paper Section 3).
-
-    ``parallel_scc`` shards each topological level's independent SCCs
-    across worker threads (forcing the ``scc`` schedule); ``jobs``
-    caps the shard width (default: the CPUs this process may run on).
-    """
-    return InsensitiveAnalysis(program, schedule=schedule,
-                               parallel_scc=parallel_scc,
-                               jobs=jobs).run()
+                        schedule: str = "batched") -> AnalysisResult:
+    """Run the context-insensitive analysis (paper Section 3)."""
+    return InsensitiveAnalysis(program, schedule=schedule).run()

@@ -69,12 +69,10 @@ from .common import (
     CallGraph,
     Counters,
     PointsToSolution,
-    SCCWorklist,
     Worklist,
     check_schedule,
 )
 from .insensitive import analyze_insensitive
-from .scheduling import port_scc_order
 from .qualified import (
     EMPTY_ASSUMPTIONS,
     Assumption,
@@ -152,12 +150,9 @@ class SensitiveAnalysis:
         self.counters = Counters()
         self.schedule = check_schedule(schedule)
         self._dispatch: Dict[InputPort, FactHandler] = {}
-        if self.schedule == "scc":
-            self.worklist: object = SCCWorklist(port_scc_order(program)[0])
-        elif self.schedule == "batched":
-            self.worklist = BatchedWorklist()
-        else:
-            self.worklist = Worklist()
+        self.worklist: object = (BatchedWorklist()
+                                 if self.schedule == "batched"
+                                 else Worklist())
         self.max_transfers = max_transfers
 
     # -- driver -------------------------------------------------------------
@@ -598,18 +593,13 @@ def analyze_sensitive(program: Program,
                       ci_result: Optional[AnalysisResult] = None,
                       optimize: bool = True,
                       max_transfers: Optional[int] = None,
-                      schedule: str = "batched",
-                      parallel_scc: bool = False) -> AnalysisResult:
+                      schedule: str = "batched") -> AnalysisResult:
     """Run the maximally context-sensitive analysis (paper Section 4).
 
     ``ci_result`` may supply a previously computed context-insensitive
     result (it is computed on demand otherwise); ``optimize=False``
     disables the §4.2 CI-based pruning, which must not change the
     stripped solution — a property the test suite checks.
-
-    ``parallel_scc`` is accepted for driver uniformity but ignored: the
-    qualified-pair solver's assumption-set subsumption makes transfer
-    order observable in its intermediate counters, so it stays serial.
     """
     return SensitiveAnalysis(program, ci_result, optimize, max_transfers,
                              schedule=schedule).run()

@@ -9,7 +9,7 @@ summary layer the incremental driver (:mod:`repro.analysis.incremental`)
 persists and replays:
 
 * a **function-level call condensation** — SCCs of the static call
-  graph (``scheduling._static_callee`` edges) unioned with previously
+  graph (:func:`_static_callee` edges) unioned with previously
   observed *dynamic* edges, in callees-first topological order;
 * **content hashes** — a structural :func:`body_hash` per procedure
   (uid/occurrence-indexed, independent of interning history, of any
@@ -65,7 +65,6 @@ from ..ir.nodes import (
     ReturnNode,
 )
 from .common import AnalysisResult, CallGraph, PointsToSolution
-from .scheduling import _static_callee
 
 #: Bump whenever the summary wire format or the hash inputs change —
 #: every persisted entry and manifest is invalidated at once.
@@ -290,6 +289,20 @@ class Condensation:
             closed.add(index)
             pending.extend(self.callers.get(index, ()))
         return closed
+
+
+def _static_callee(program: Program, call: CallNode
+                   ) -> Optional[FunctionGraph]:
+    """The callee of a syntactically direct call, else ``None``."""
+    source = call.fcn.source
+    if source is None or not isinstance(source.node, AddressNode):
+        return None
+    path = source.node.path
+    if path.ops or path.base is None:
+        return None
+    if path.base.kind is not LocationKind.FUNCTION:
+        return None
+    return program.function_for_location(path.base)
 
 
 def function_call_edges(program: Program,
@@ -550,8 +563,6 @@ def apply_summary(summary: Summary, program: Program, codec: LocationCodec,
     solution's fact table re-interns each decoded pair, so replay works
     into any program object lowered from the same source.
     """
-    from ..memory.packedbits import PackedBits
-
     table = solution.table
     node_maps: Dict[str, Dict[int, Node]] = {}
 
@@ -580,7 +591,7 @@ def apply_summary(summary: Summary, program: Program, codec: LocationCodec,
                 f"{graph_name}#{uid}")
         mask = table.pair_mask(decoded_pairs[i] for i in pair_indices)
         if mask:
-            solution._packed[node.outputs[out_idx]] = PackedBits(mask)
+            solution._masks[node.outputs[out_idx]] = mask
     for graph_name, uid, callee_names in summary.edges:
         call = node_at(graph_name, uid)
         if not isinstance(call, CallNode):

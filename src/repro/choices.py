@@ -6,15 +6,12 @@ without loading the solvers or the experiment drivers that use them
 """
 
 #: Scheduling strategies the solvers accept.  The paper notes the
-#: algorithms converge to the same solution under any strategy;
-#: ``"fifo"`` is the original one-fact-per-pop queue (kept for the
-#: determinism cross-check), ``"batched"`` drains every pending fact
-#: at a port through a single transfer application, ``"scc"`` batches
-#: the same way but pops ports in topological order of the port
-#: dependency graph's strongly connected components (round-robin
-#: inside each SCC), so downstream components see their inputs
-#: saturated before they run.
-SCHEDULES = ("batched", "fifo", "scc")
+#: algorithms converge to the same solution under any strategy:
+#: ``"batched"`` (the production engine) drains every pending fact at
+#: a port through a single transfer application, and ``"fifo"`` is
+#: the original one-fact-per-pop queue, kept as the reference every
+#: equivalence check compares against.
+SCHEDULES = ("batched", "fifo")
 
 #: Tables/figures :mod:`repro.report.experiments` regenerates, in the
 #: order ``repro experiment all`` prints them.

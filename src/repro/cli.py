@@ -12,6 +12,10 @@ Commands:
   (fig2, fig3, fig4, fig6, fig7, cost, opt42, perf43, struct51, gap,
   checkers, slicing).
 
+``analyze``, ``experiment``, ``check``, ``slice`` and ``serve`` take
+``--schedule batched|fifo``: the dense production engine (default) or
+the one-fact reference queue, which reach identical solutions.
+
 ``analyze`` and ``experiment`` share the run-layer flags:
 ``--telemetry PATH`` writes one JSON-lines record per (program,
 flavor) — see :mod:`repro.telemetry` for the schema — and
@@ -102,15 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--schedule", default="batched",
                          choices=list(SCHEDULES),
                          help="worklist schedule: batched (dense bitset "
-                              "engine, default), scc (dense engine with "
-                              "SCC-topological port priority), or fifo "
-                              "(reference one-fact queue)")
-    analyze.add_argument("--parallel-scc", action="store_true",
-                         dest="parallel_scc",
-                         help="under --schedule scc, shard each "
-                              "topological level's independent SCCs "
-                              "across worker threads (CI flavor only; "
-                              "identical solutions and digests)")
+                              "engine, default) or fifo (reference "
+                              "one-fact queue)")
     analyze.add_argument("--incremental", action="store_true",
                          help="persist per-SCC summaries in the "
                               "lowering cache and re-solve only "
@@ -152,10 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             choices=list(SCHEDULES),
                             help="worklist schedule for the suite "
                                  "analyses (default: batched)")
-    experiment.add_argument("--parallel-scc", action="store_true",
-                            dest="parallel_scc",
-                            help="shard independent SCCs across worker "
-                                 "threads in the CI solver")
     _add_run_flags(experiment)
 
     explain = sub.add_parser(
@@ -194,10 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "analyses (default: batched)")
     check.add_argument("--no-cache", action="store_true",
                        help="skip the persistent lowering cache")
-    check.add_argument("--parallel-scc", action="store_true",
-                       dest="parallel_scc",
-                       help="shard independent SCCs across worker "
-                            "threads in the CI solver")
     check.add_argument("--incremental", action="store_true",
                        help="reuse persisted per-SCC summaries from "
                             "the lowering cache (same findings and "
@@ -253,10 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "analysis (default: batched)")
     slice_p.add_argument("--no-cache", action="store_true",
                          help="skip the persistent lowering cache")
-    slice_p.add_argument("--parallel-scc", action="store_true",
-                         dest="parallel_scc",
-                         help="shard independent SCCs across worker "
-                              "threads in the CI solver")
     slice_p.add_argument("--incremental", action="store_true",
                          help="reuse persisted per-SCC summaries from "
                               "the lowering cache")
@@ -299,10 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-incremental", action="store_true",
                        help="disable SCC-summary replay for warm "
                             "requests (always re-solve)")
-    serve.add_argument("--parallel-scc", action="store_true",
-                       dest="parallel_scc",
-                       help="shard independent SCCs across worker "
-                            "threads in the CI solver")
     serve.add_argument("--telemetry", metavar="PATH", default=None,
                        help="append kind=\"serve\" JSON-lines metric "
                             "snapshots to PATH")
@@ -379,9 +360,8 @@ def _cmd_analyze(args) -> int:
                 schedule=args.schedule)["flowinsensitive"]
         else:
             from .analysis.flowinsensitive import analyze_flowinsensitive
-            result = analyze_flowinsensitive(
-                program, schedule=args.schedule,
-                parallel_scc=args.parallel_scc)
+            result = analyze_flowinsensitive(program,
+                                             schedule=args.schedule)
         results = {"flowinsensitive": result}
         _report_program(program, results, args)
         _write_telemetry(args.telemetry,
@@ -396,13 +376,11 @@ def _cmd_analyze(args) -> int:
         want = (("insensitive",) if args.sensitivity == "insensitive"
                 else ("insensitive", "sensitive"))
         solved = analyze_incremental(program, want, cache=cache,
-                                     schedule=args.schedule,
-                                     parallel_scc=args.parallel_scc)
+                                     schedule=args.schedule)
         ci = solved["insensitive"]
         cs = solved.get("sensitive")
     else:
-        ci = analyze_insensitive(program, schedule=args.schedule,
-                                 parallel_scc=args.parallel_scc)
+        ci = analyze_insensitive(program, schedule=args.schedule)
     if args.sensitivity in ("insensitive", "both"):
         results["insensitive"] = ci
     if args.sensitivity in ("sensitive", "both"):
@@ -543,7 +521,6 @@ def _analyze_parallel(args, cache) -> int:
     report = run_files_report(args.file, flavors=flavors, jobs=args.jobs,
                               cache=cache, fail_fast=args.fail_fast,
                               schedule=args.schedule,
-                              parallel_scc=args.parallel_scc,
                               incremental=args.incremental)
     for outcome in report.outcomes:
         if not outcome.ok:
@@ -643,8 +620,7 @@ def _cmd_experiment(args) -> int:
 
     wanted = list(EXPERIMENT_IDS) if args.id == "all" else [args.id]
     runner = SuiteRunner(jobs=args.jobs, cache=not args.no_cache,
-                         fail_fast=args.fail_fast, schedule=args.schedule,
-                         parallel_scc=args.parallel_scc)
+                         fail_fast=args.fail_fast, schedule=args.schedule)
     for experiment_id in wanted:
         if args.markdown:
             print(render_experiment_markdown(experiment_id, runner))
@@ -728,7 +704,7 @@ def _cmd_check(args) -> int:
         paths=paths or None, flavors=flavors, checkers=checkers,
         jobs=args.jobs, schedule=args.schedule, cache=not args.no_cache,
         witness=witness, fail_fast=args.fail_fast,
-        parallel_scc=args.parallel_scc, incremental=args.incremental)
+        incremental=args.incremental)
 
     ordered = []  # (program, finding) in task/flavor/finding order
     for outcome in report.outcomes:
@@ -797,8 +773,7 @@ def _cmd_slice(args) -> int:
         criterion=args.criterion, from_finding=args.from_finding,
         direction=args.direction, jobs=args.jobs,
         schedule=args.schedule, cache=not args.no_cache,
-        fail_fast=args.fail_fast, parallel_scc=args.parallel_scc,
-        incremental=args.incremental)
+        fail_fast=args.fail_fast, incremental=args.incremental)
 
     payloads = []
     for outcome in report.outcomes:
@@ -893,8 +868,7 @@ def _cmd_serve(args) -> int:
         timeout_seconds=args.timeout_seconds,
         request_memory_mb=args.request_memory_mb,
         schedule=args.schedule, cache=not args.no_cache,
-        incremental=not args.no_incremental,
-        parallel_scc=args.parallel_scc, telemetry=args.telemetry)
+        incremental=not args.no_incremental, telemetry=args.telemetry)
     return run_server(config)
 
 

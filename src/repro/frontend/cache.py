@@ -52,7 +52,7 @@ from ..ir.graph import Program
 #: preprocessor-reported dependency set (headers included), not just
 #: the named input files.  v3: programs may carry dense fact-table /
 #: SCC-order extras, and entries are written with pickle protocol 5.
-#: v4: word-packed fact sets (PackedBits) and SCC-level / seed-plan /
+#: v4: word-packed fact sets and SCC-level / seed-plan /
 #: dispatch extras in cached programs.  v5: the summary layer
 #: (``analysis/incremental.py``) persists per-SCC analysis summaries
 #: next to cached programs — bumped so lowered programs and the

@@ -21,9 +21,8 @@ operation, the inclusion lattice the paper's claims rest on:
   to a direct op, and its referent set still must cover the concrete
   access.
 
-On top of the lattice the oracle asserts determinism — the batched,
-FIFO, SCC-priority, and thread-sharded SCC-parallel solvers must
-reach byte-identical solutions — and
+On top of the lattice the oracle asserts determinism — the batched
+and FIFO solvers must reach byte-identical solutions — and
 re-checks each solution with the declarative fixpoint verifier.  A
 checker leg re-lowers the program under the hazard model and holds the
 bug checkers to the same standard: schedule-stable finding digests,
@@ -278,31 +277,19 @@ def check_program(source: str, name: str = "<fuzz>", *,
     report.digests["cs"] = solution_digest(cs)
     report.digests["fi"] = solution_digest(fi)
     if schedules:
-        for other in ("fifo", "scc"):
-            ci_alt = analyze_insensitive(program, schedule=other)
-            cs_alt = analyze_sensitive(program, ci_result=ci_alt,
-                                       schedule=other)
-            fi_alt = analyze_flowinsensitive(program, schedule=other)
-            for flavor, alt in (("ci", ci_alt), ("cs", cs_alt),
-                                ("fi", fi_alt)):
-                digest = solution_digest(alt)
-                if digest != report.digests[flavor]:
-                    report.violations.append(Violation(
-                        "determinism",
-                        f"{flavor.upper()} solution differs between "
-                        f"batched ({report.digests[flavor][:12]}…) and "
-                        f"{other} ({digest[:12]}…) schedules"))
-        # The thread-sharded SCC solver must land on the same CI
-        # fixpoint regardless of worker interleaving.
-        ci_par = analyze_insensitive(program, schedule="scc",
-                                     parallel_scc=True)
-        digest = solution_digest(ci_par)
-        if digest != report.digests["ci"]:
-            report.violations.append(Violation(
-                "determinism",
-                f"CI solution differs between batched "
-                f"({report.digests['ci'][:12]}…) and scc-parallel "
-                f"({digest[:12]}…) solving"))
+        ci_alt = analyze_insensitive(program, schedule="fifo")
+        cs_alt = analyze_sensitive(program, ci_result=ci_alt,
+                                   schedule="fifo")
+        fi_alt = analyze_flowinsensitive(program, schedule="fifo")
+        for flavor, alt in (("ci", ci_alt), ("cs", cs_alt),
+                            ("fi", fi_alt)):
+            digest = solution_digest(alt)
+            if digest != report.digests[flavor]:
+                report.violations.append(Violation(
+                    "determinism",
+                    f"{flavor.upper()} solution differs between "
+                    f"batched ({report.digests[flavor][:12]}…) and "
+                    f"fifo ({digest[:12]}…) schedules"))
 
     # -- independent fixpoint re-check -----------------------------------
     if fixpoint:
@@ -380,16 +367,14 @@ def _check_slices(program, ci: AnalysisResult, trace,
     report.stats["slice_flows_checked"] = checked
 
     if schedules:
-        for other in ("fifo", "scc"):
-            alt = build_depgraph(analyze_insensitive(
-                program, schedule=other))
-            digest = alt.digest()
-            if digest != report.digests["depgraph"]:
-                report.violations.append(Violation(
-                    "slice",
-                    f"dependence graph differs between batched "
-                    f"({report.digests['depgraph'][:12]}…) and {other} "
-                    f"({digest[:12]}…) schedules"))
+        alt = build_depgraph(analyze_insensitive(program, schedule="fifo"))
+        digest = alt.digest()
+        if digest != report.digests["depgraph"]:
+            report.violations.append(Violation(
+                "slice",
+                f"dependence graph differs between batched "
+                f"({report.digests['depgraph'][:12]}…) and fifo "
+                f"({digest[:12]}…) schedules"))
 
 
 #: (incremental flavor name, report digest key) for the summary leg.
@@ -469,18 +454,17 @@ def _check_checkers(source: str, name: str, report: CheckReport,
     report.stats["checker_findings_cs"] = len(findings["cs"])
 
     if schedules:
-        for other in ("fifo", "scc"):
-            ci_alt = analyze_insensitive(program, schedule=other)
-            cs_alt = analyze_sensitive(program, ci_result=ci_alt,
-                                       schedule=other)
-            for flavor, alt in (("ci", ci_alt), ("cs", cs_alt)):
-                digest = findings_digest(run_checkers(alt))
-                if digest != digests[flavor]:
-                    report.violations.append(Violation(
-                        "checker",
-                        f"{flavor.upper()} findings differ between "
-                        f"batched ({digests[flavor][:12]}…) and {other} "
-                        f"({digest[:12]}…) schedules"))
+        ci_alt = analyze_insensitive(program, schedule="fifo")
+        cs_alt = analyze_sensitive(program, ci_result=ci_alt,
+                                   schedule="fifo")
+        for flavor, alt in (("ci", ci_alt), ("cs", cs_alt)):
+            digest = findings_digest(run_checkers(alt))
+            if digest != digests[flavor]:
+                report.violations.append(Violation(
+                    "checker",
+                    f"{flavor.upper()} findings differ between "
+                    f"batched ({digests[flavor][:12]}…) and fifo "
+                    f"({digest[:12]}…) schedules"))
 
     # A concrete hazard the analysis-side checkers did not predict is
     # unsoundness, under the stripped CS result just as under CI.
@@ -573,35 +557,4 @@ def deep_checks(programs: Sequence[Tuple[str, str]],
                     "determinism",
                     f"{path.name}: CI solution differs between cache miss "
                     f"({a[:12]}…) and cache hit ({b[:12]}…)"))
-
-        # -- SCC-priority schedule cross-check ------------------------
-        # The per-program oracle already crosses batched vs fifo; here
-        # the third schedule runs on a *fresh* lowering (its own fact
-        # table and SCC order) and must land on the same solutions.
-        for path, (prog_name, source) in zip(paths, programs):
-            program = lower_file(path, cache=False)
-            ci_b = analyze_insensitive(program)
-            cs_b = analyze_sensitive(program, ci_result=ci_b)
-            ci_s = analyze_insensitive(program, schedule="scc")
-            cs_s = analyze_sensitive(program, ci_result=ci_s,
-                                     schedule="scc")
-            for flavor, batched, scc in (("ci", ci_b, ci_s),
-                                         ("cs", cs_b, cs_s)):
-                a = solution_digest(batched)
-                b = solution_digest(scc)
-                if a != b:
-                    violations.append(Violation(
-                        "determinism",
-                        f"{prog_name}: {flavor} solution differs between "
-                        f"batched ({a[:12]}…) and scc ({b[:12]}…) "
-                        f"schedules"))
-            ci_p = analyze_insensitive(program, schedule="scc",
-                                       parallel_scc=True)
-            a = solution_digest(ci_b)
-            b = solution_digest(ci_p)
-            if a != b:
-                violations.append(Violation(
-                    "determinism",
-                    f"{prog_name}: ci solution differs between batched "
-                    f"({a[:12]}…) and scc-parallel ({b[:12]}…) solving"))
     return violations

@@ -25,27 +25,40 @@ decodes to the same facts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .access import AccessPath
-from .packedbits import decode_ids
 from .pairs import PointsToPair, direct as _direct, pair as _make_pair
 
-#: Bit positions set in each byte value, precomputed: the decode loop
-#: walks a bitset bytewise instead of peeling one bit per iteration.
+#: Masks with at most this many set bits decode by peeling the lowest
+#: set bit; denser masks walk the bytes through :data:`_BYTE_BITS`.
+_PEEL_MAX_BITS = 48
+
+#: Bit positions set in each byte value, precomputed for the bytewise
+#: decode of dense masks.
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(bit for bit in range(8) if value >> bit & 1)
     for value in range(256))
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+def decode_ids(mask: int) -> List[int]:
+    """Set-bit positions of ``mask``, ascending: the one bitset
+    decoder every table view and translation kernel goes through."""
+    out: List[int] = []
+    append = out.append
+    if mask.bit_count() <= _PEEL_MAX_BITS:
+        while mask:
+            lsb = mask & -mask
+            append(lsb.bit_length() - 1)
+            mask ^= lsb
+        return out
     offset = 0
     for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
         if byte:
             for bit in _BYTE_BITS[byte]:
-                yield offset + bit
+                append(offset + bit)
         offset += 8
+    return out
 
 
 def popcount(mask: int) -> int:
@@ -90,7 +103,7 @@ class FactTable:
 
     __slots__ = ("_pair_ids", "_pair_objects", "_path_ids", "_path_objects",
                  "_base_masks", "_direct_mask", "_target_path_ids",
-                 "decode_calls", "kernel_calls", "lock",
+                 "decode_calls", "kernel_calls",
                  "_lookup_tr", "_write_tr", "_kill_tr", "_extend_tr",
                  "_extract_tr", "_direct_refs")
 
@@ -121,10 +134,6 @@ class FactTable:
         #: handlers' own memo fast path does not count: a warm solve
         #: showing few kernel calls ran almost entirely on memo hits.
         self.kernel_calls = 0
-        #: Set by the SCC-parallel driver: guards id assignment and
-        #: translation growth when handlers run on worker threads.
-        #: None (the default) keeps the serial fast path lock-free.
-        self.lock = None
         # Translation caches, keyed by the interned referent (or access
         # operator) that parameterizes the transfer function.  Pure
         # functions of interned ids: shared by every run over this
@@ -207,9 +216,6 @@ class FactTable:
     # Each transfer function's per-fact image is a pure function of
     # interned ids; these kernels classify each id once (ever, per
     # table) and serve every later query from the exact-mask memo.
-    # The serial path is lock-free; the SCC-parallel driver installs
-    # ``self.lock`` so classification (which interns new pairs) stays
-    # race-free across worker threads.
 
     def _translate(self, cache: Dict, key, mask: int,
                    classify: Callable) -> int:
@@ -222,23 +228,16 @@ class FactTable:
         hit = tr.memo.get(mask)
         if hit is not None:
             return hit
-        lock = self.lock
-        if lock is not None:
-            lock.acquire()
-        try:
-            new = mask & ~tr.seen
-            if new:
-                classify(tr, new, key)
-                tr.seen |= new
-            bits = tr.bits
-            emit = 0
-            for ident in decode_ids(mask):
-                emit |= bits[ident]
-            tr.memo[mask] = emit
-            return emit
-        finally:
-            if lock is not None:
-                lock.release()
+        new = mask & ~tr.seen
+        if new:
+            classify(tr, new, key)
+            tr.seen |= new
+        bits = tr.bits
+        emit = 0
+        for ident in decode_ids(mask):
+            emit |= bits[ident]
+        tr.memo[mask] = emit
+        return emit
 
     def _memo_of(self, cache: Dict, key) -> Dict[int, int]:
         """The exact-mask memo dict of one translation — handlers hold
@@ -376,8 +375,8 @@ class FactTable:
         return mask
 
     def decode_pairs(self, mask: int) -> List[PointsToPair]:
-        """Materialize a bitset back into its pair objects (set-bit
-        positions found by the vectorized kernel when available)."""
+        """Materialize a bitset back into its pair objects, in id
+        order."""
         self.decode_calls += 1
         objects = self._pair_objects
         return [objects[ident] for ident in decode_ids(mask)]
@@ -419,9 +418,8 @@ class FactTable:
     def __getstate__(self) -> dict:
         # The object lists alone determine the table (ids are list
         # positions); the encode dicts rebuild against the re-interned
-        # objects on load.  Translation caches and the parallel lock
-        # are deliberately dropped: pure functions of ids, they rebuild
-        # lazily, and locks do not pickle.
+        # objects on load.  Translation caches are deliberately
+        # dropped: pure functions of ids, they rebuild lazily.
         return {"pairs": self._pair_objects, "paths": self._path_objects,
                 "decode_calls": self.decode_calls,
                 "kernel_calls": self.kernel_calls}
@@ -447,7 +445,6 @@ class FactTable:
                 self._target_path_ids.append(-1)
         self.decode_calls = state.get("decode_calls", 0)
         self.kernel_calls = state.get("kernel_calls", 0)
-        self.lock = None
         self._lookup_tr = {}
         self._write_tr = {}
         self._kill_tr = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .access import AccessPath, make_path
-from .facttable import FactTable, iter_bits
+from .facttable import FactTable, decode_ids
 
 
 def is_prefix(a: AccessPath, b: AccessPath) -> bool:
@@ -88,8 +88,8 @@ def meet_mask(table: FactTable, a_mask: int, b_mask: int) -> int:
     of all defined ``meet(a, b)`` with ``a`` drawn from ``a_mask`` and
     ``b`` from ``b_mask``."""
     out = 0
-    a_ids = list(iter_bits(a_mask))
-    for b_id in iter_bits(b_mask):
+    a_ids = decode_ids(a_mask)
+    for b_id in decode_ids(b_mask):
         b_path = table.path_of(b_id)
         for a_id in a_ids:
             glb = meet(table.path_of(a_id), b_path)

@@ -57,15 +57,13 @@ class SuiteRunner:
                  jobs: Optional[int] = 1,
                  cache: object = True,
                  fail_fast: bool = False,
-                 schedule: str = "batched",
-                 parallel_scc: bool = False) -> None:
+                 schedule: str = "batched") -> None:
         self.names: List[str] = list(names) if names is not None \
             else list(PROGRAM_NAMES)
         self.jobs = jobs
         self.cache = cache
         self.fail_fast = fail_fast
         self.schedule = schedule
-        self.parallel_scc = parallel_scc
         #: :class:`repro.runner.TaskError` per failed program.
         self.errors: List = []
         self._records: List[dict] = []
@@ -92,8 +90,7 @@ class SuiteRunner:
         report = run_suite_report(names=self.names, jobs=self.jobs,
                                   cache=self.cache,
                                   fail_fast=self.fail_fast,
-                                  schedule=self.schedule,
-                                  parallel_scc=self.parallel_scc)
+                                  schedule=self.schedule)
         self.errors = report.errors
         self._records = report.records
         for name, by_flavor in report.results.items():
@@ -142,8 +139,7 @@ class SuiteRunner:
                 self.prime()
             if name not in self._ci:
                 self._ci[name] = analyze_insensitive(
-                    self.program(name), schedule=self.schedule,
-                    parallel_scc=self.parallel_scc)
+                    self.program(name), schedule=self.schedule)
         return self._ci[name]
 
     def cs(self, name: str) -> AnalysisResult:

@@ -181,58 +181,54 @@ def _maybe_inject_fault(name: str) -> None:
 
 
 def _analyze_program(program, flavors: Tuple[str, ...], schedule: str,
-                     parallel_scc: bool = False,
                      incremental: bool = False,
                      cache: object = True
                      ) -> Dict[str, AnalysisResult]:
     if incremental:
         from .analysis.incremental import analyze_incremental
         return analyze_incremental(program, flavors=flavors,
-                                   cache=cache, schedule=schedule,
-                                   parallel_scc=parallel_scc)
+                                   cache=cache, schedule=schedule)
     results: Dict[str, AnalysisResult] = {}
     if "insensitive" in flavors or "sensitive" in flavors:
         from .analysis.insensitive import analyze_insensitive
-        ci = analyze_insensitive(program, schedule=schedule,
-                                 parallel_scc=parallel_scc)
+        ci = analyze_insensitive(program, schedule=schedule)
         if "insensitive" in flavors:
             results["insensitive"] = ci
         if "sensitive" in flavors:
             from .analysis.sensitive import analyze_sensitive
             results["sensitive"] = analyze_sensitive(
-                program, ci_result=ci, schedule=schedule,
-                parallel_scc=parallel_scc)
+                program, ci_result=ci, schedule=schedule)
     if "flowinsensitive" in flavors:
         from .analysis.flowinsensitive import analyze_flowinsensitive
         results["flowinsensitive"] = analyze_flowinsensitive(
-            program, schedule=schedule, parallel_scc=parallel_scc)
+            program, schedule=schedule)
     return results
 
 
 def _suite_worker(task) -> TaskOutcome:
     """Module-level so ProcessPoolExecutor can pickle the callable."""
-    name, flavors, schedule, cache, parallel_scc, incremental = task
+    name, flavors, schedule, cache, incremental = task
     from .suite.registry import load_program
     from .telemetry import result_records
 
     _maybe_inject_fault(name)
     program = load_program(name, cache=cache)
-    results = _analyze_program(program, flavors, schedule, parallel_scc,
-                               incremental, cache)
+    results = _analyze_program(program, flavors, schedule, incremental,
+                               cache)
     return TaskOutcome(name=name, results=results,
                        records=result_records(name, results, schedule))
 
 
 def _file_worker(task) -> TaskOutcome:
-    path, flavors, schedule, cache, parallel_scc, incremental = task
+    path, flavors, schedule, cache, incremental = task
     from .frontend.pipeline import lower_file
     from .telemetry import result_records
 
     name = str(path)
     _maybe_inject_fault(name)
     program = lower_file(path, cache=cache)
-    results = _analyze_program(program, flavors, schedule, parallel_scc,
-                               incremental, cache)
+    results = _analyze_program(program, flavors, schedule, incremental,
+                               cache)
     return TaskOutcome(name=name, results=results,
                        records=result_records(name, results, schedule))
 
@@ -252,7 +248,7 @@ def _check_worker(task) -> TaskOutcome:
     compare or report digests and never look at a finding.
     """
     (name, is_suite, flavors, schedule, cache, checkers, witness,
-     parallel_scc, incremental, digest_only) = task
+     incremental, digest_only) = task
     from time import perf_counter
 
     from .analysis.checkers import run_checkers
@@ -273,8 +269,8 @@ def _check_worker(task) -> TaskOutcome:
     else:
         from .frontend.pipeline import lower_file
         program = lower_file(name, cache=cache, hazard_model=True)
-    results = _analyze_program(program, flavors, schedule, parallel_scc,
-                               incremental, cache)
+    results = _analyze_program(program, flavors, schedule, incremental,
+                               cache)
     findings: Dict[str, list] = {}
     records: List[dict] = []
     # One lowering serves every flavor below — each record carries the
@@ -319,8 +315,7 @@ def _serve_analyze_worker(task) -> TaskOutcome:
     cross the pipe: a serve worker's IPC cost is a few KB per request
     regardless of program size.
     """
-    (name, is_suite, flavors, schedule, cache, parallel_scc,
-     incremental) = task
+    name, is_suite, flavors, schedule, cache, incremental = task
     from .serve.payload import analysis_payload
     from .telemetry import result_records
 
@@ -331,8 +326,8 @@ def _serve_analyze_worker(task) -> TaskOutcome:
     else:
         from .frontend.pipeline import lower_file
         program = lower_file(name, cache=cache)
-    results = _analyze_program(program, flavors, schedule, parallel_scc,
-                               incremental, cache)
+    results = _analyze_program(program, flavors, schedule, incremental,
+                               cache)
     return TaskOutcome(name=name,
                        records=result_records(name, results, schedule),
                        payload=analysis_payload(name, results, schedule))
@@ -353,7 +348,7 @@ def _slice_worker(task) -> TaskOutcome:
     so slice digests line up with ``repro analyze`` results.
     """
     (name, is_suite, flavor, schedule, cache, criterion, from_finding,
-     direction, parallel_scc, incremental) = task
+     direction, incremental) = task
     from time import perf_counter
 
     from .analysis.depgraph import build_depgraph
@@ -369,8 +364,8 @@ def _slice_worker(task) -> TaskOutcome:
     else:
         from .frontend.pipeline import lower_file
         program = lower_file(name, cache=cache, hazard_model=hazard)
-    result = _analyze_program(program, (flavor,), schedule, parallel_scc,
-                              incremental, cache)[flavor]
+    result = _analyze_program(program, (flavor,), schedule, incremental,
+                              cache)[flavor]
     table = result.solution.table
     before = table.decode_calls
     start = perf_counter()
@@ -752,7 +747,6 @@ def run_suite_report(names: Optional[Sequence[str]] = None,
                      cache: object = True,
                      fail_fast: bool = False,
                      force_pool: bool = False,
-                     parallel_scc: bool = False,
                      incremental: bool = False,
                      ) -> RunReport:
     """Analyze suite programs across processes, fault-isolated.
@@ -770,7 +764,7 @@ def run_suite_report(names: Optional[Sequence[str]] = None,
     if names is None:
         names = PROGRAM_NAMES
     flavors = _check_flavors(flavors)
-    tasks = [(name, flavors, schedule, cache, parallel_scc, incremental)
+    tasks = [(name, flavors, schedule, cache, incremental)
              for name in names]
     return run_tasks(_suite_worker, tasks, jobs, fail_fast=fail_fast,
                      force_pool=force_pool)
@@ -783,7 +777,6 @@ def run_files_report(paths: Sequence,
                      cache: object = None,
                      fail_fast: bool = False,
                      force_pool: bool = False,
-                     parallel_scc: bool = False,
                      incremental: bool = False,
                      ) -> RunReport:
     """Analyze several C files as *independent* programs, in parallel.
@@ -794,7 +787,7 @@ def run_files_report(paths: Sequence,
     come back in input order.
     """
     flavors = _check_flavors(flavors)
-    tasks = [(str(p), flavors, schedule, cache, parallel_scc, incremental)
+    tasks = [(str(p), flavors, schedule, cache, incremental)
              for p in paths]
     return run_tasks(_file_worker, tasks, jobs, fail_fast=fail_fast,
                      force_pool=force_pool)
@@ -810,7 +803,6 @@ def run_check_report(names: Optional[Sequence[str]] = None,
                      witness: object = False,
                      fail_fast: bool = False,
                      force_pool: bool = False,
-                     parallel_scc: bool = False,
                      incremental: bool = False,
                      digest_only: bool = False,
                      ) -> RunReport:
@@ -847,11 +839,10 @@ def run_check_report(names: Optional[Sequence[str]] = None,
         names = PROGRAM_NAMES
     for name in names or ():
         tasks.append((name, True, flavors, schedule, cache, checkers,
-                      witness, parallel_scc, incremental, digest_only))
+                      witness, incremental, digest_only))
     for path in paths or ():
         tasks.append((str(path), False, flavors, schedule, cache,
-                      checkers, witness, parallel_scc, incremental,
-                      digest_only))
+                      checkers, witness, incremental, digest_only))
     return run_tasks(_check_worker, tasks, jobs, fail_fast=fail_fast,
                      force_pool=force_pool)
 
@@ -867,7 +858,6 @@ def run_slice_report(names: Optional[Sequence[str]] = None,
                      cache: object = True,
                      fail_fast: bool = False,
                      force_pool: bool = False,
-                     parallel_scc: bool = False,
                      incremental: bool = False,
                      ) -> RunReport:
     """Compute dependence-graph slices, one task per program.
@@ -896,12 +886,10 @@ def run_slice_report(names: Optional[Sequence[str]] = None,
         names = PROGRAM_NAMES
     for name in names or ():
         tasks.append((name, True, flavor, schedule, cache, criterion,
-                      from_finding, direction, parallel_scc,
-                      incremental))
+                      from_finding, direction, incremental))
     for path in paths or ():
         tasks.append((str(path), False, flavor, schedule, cache,
-                      criterion, from_finding, direction, parallel_scc,
-                      incremental))
+                      criterion, from_finding, direction, incremental))
     return run_tasks(_slice_worker, tasks, jobs, fail_fast=fail_fast,
                      force_pool=force_pool)
 
@@ -911,7 +899,6 @@ def run_suite(names: Optional[Sequence[str]] = None,
               jobs: Optional[int] = None,
               schedule: str = "batched",
               cache: object = True,
-              parallel_scc: bool = False,
               ) -> Dict[str, Dict[str, AnalysisResult]]:
     """Back-compat wrapper over :func:`run_suite_report`.
 
@@ -919,7 +906,7 @@ def run_suite(names: Optional[Sequence[str]] = None,
     the first failure (the pre-fault-isolation contract).
     """
     report = run_suite_report(names, flavors, jobs, schedule, cache,
-                              fail_fast=True, parallel_scc=parallel_scc)
+                              fail_fast=True)
     return report.results
 
 

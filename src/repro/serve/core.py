@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..choices import SCHEDULES
 from ..lru import LRUCache
 from ..runner import (FLAVORS, WorkerPool, _check_worker,
                       _serve_analyze_worker, default_jobs)
@@ -62,7 +63,6 @@ class ServeConfig:
     #: Route solves through the incremental engine so warm requests
     #: replay persisted SCC summaries instead of re-solving.
     incremental: bool = True
-    parallel_scc: bool = False
     #: JSON-lines path for ``kind="serve"`` telemetry (None = off).
     telemetry: Optional[str] = None
     #: Write a telemetry snapshot every N completed requests.
@@ -305,17 +305,16 @@ class AnalysisService:
     def _analyze(self, body: dict) -> Tuple[int, dict]:
         target = self._resolve_target(body)
         flavors = self._flavors(body)
-        schedule = body.get("schedule", self.config.schedule)
+        schedule = self._schedule(body)
         key = ("analyze", target.content_key, flavors, schedule,
-               self.config.incremental, self.config.parallel_scc)
+               self.config.incremental)
         cached = self.payloads.get(key)
         if cached is not None:
             return 200, dict(cached, tier="solution")
 
         def compute() -> Tuple[int, dict]:
             task = (target.name, target.is_suite, flavors, schedule,
-                    self.config.cache, self.config.parallel_scc,
-                    self.config.incremental)
+                    self.config.cache, self.config.incremental)
             outcome = self.pool.run(_serve_analyze_worker, task)
             if outcome.error is not None:
                 return 500, {"error": outcome.error.message,
@@ -331,7 +330,7 @@ class AnalysisService:
     def _check(self, body: dict) -> Tuple[int, dict]:
         target = self._resolve_target(body)
         flavors = self._flavors(body)
-        schedule = body.get("schedule", self.config.schedule)
+        schedule = self._schedule(body)
         checkers = body.get("checkers")
         if checkers is not None:
             if (not isinstance(checkers, list)
@@ -358,8 +357,7 @@ class AnalysisService:
             # carries digests and counts, never pickled findings.
             task = (target.name, target.is_suite, flavors, schedule,
                     self.config.cache, checkers, False,
-                    self.config.parallel_scc, self.config.incremental,
-                    True)
+                    self.config.incremental, True)
             outcome = self.pool.run(_check_worker, task)
             if outcome.error is not None:
                 return 500, {"error": outcome.error.message,
@@ -385,9 +383,15 @@ class AnalysisService:
         if flavor not in FLAVORS:
             raise ServeRequestError(
                 f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-        schedule = body.get("schedule", self.config.schedule)
+        schedule = self._schedule(body)
         function = body.get("function")
+        if function is not None and not isinstance(function, str):
+            raise ServeRequestError("'function' must be a string")
         line = body.get("line")
+        if line is not None and (isinstance(line, bool)
+                                 or not isinstance(line, (int, str))):
+            raise ServeRequestError(
+                "'line' must be an integer or a string")
         # The solved result is filter-independent, so the LRU tiers key
         # on (program, flavor, schedule) alone — but the *response* is
         # shaped by the function/line filters, so coalescing must key
@@ -440,7 +444,7 @@ class AnalysisService:
         if flavor not in FLAVORS:
             raise ServeRequestError(
                 f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-        schedule = body.get("schedule", self.config.schedule)
+        schedule = self._schedule(body)
         criterion = body.get("criterion")
         finding = body.get("finding")
         direction = body.get("direction", "backward")
@@ -540,8 +544,8 @@ class AnalysisService:
                 tier = "lowering"
             self.programs.put(program_key, program)
         result = _analyze_program(
-            program, (flavor,), schedule, self.config.parallel_scc,
-            self.config.incremental, self.config.cache)[flavor]
+            program, (flavor,), schedule, self.config.incremental,
+            self.config.cache)[flavor]
         self.results.put(result_key, result)
         return result, tier
 
@@ -589,6 +593,14 @@ class AnalysisService:
                 f"'flavors' must be a non-empty subset of {FLAVORS}")
         # Preserve FLAVORS order: CS piggybacks on CI when both run.
         return tuple(f for f in FLAVORS if f in raw)
+
+    def _schedule(self, body: dict) -> str:
+        schedule = body.get("schedule", self.config.schedule)
+        if not isinstance(schedule, str) or schedule not in SCHEDULES:
+            raise ServeRequestError(
+                f"unknown schedule {schedule!r}; expected one of "
+                f"{', '.join(SCHEDULES)}")
+        return schedule
 
     def _resolve_target(self, body: dict) -> _Target:
         if not isinstance(body, dict):

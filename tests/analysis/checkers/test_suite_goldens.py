@@ -127,10 +127,9 @@ class TestDeterminism:
             (o.name, flavor): findings_digest(o.findings[flavor])
             for o in suite_check.outcomes
             if o.name in self.NAMES for flavor in FLAVORS}
-        for schedule in ("fifo", "scc"):
-            report = run_check_report(names=self.NAMES, flavors=FLAVORS,
-                                      schedule=schedule)
-            assert self._digests(report) == baseline, schedule
+        report = run_check_report(names=self.NAMES, flavors=FLAVORS,
+                                  schedule="fifo")
+        assert self._digests(report) == baseline
 
     def test_digests_stable_across_jobs(self, suite_check):
         baseline = {

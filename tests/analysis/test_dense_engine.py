@@ -1,35 +1,26 @@
-"""Dense bitset fact engine: ids, digests, telemetry, SCC order.
+"""Dense bitset fact engine: ids, digests, telemetry.
 
-The schedule-equivalence gate already proves all three schedules reach
-the same object-level fixpoint; this module pins down the dense
-engine's own contracts — content digests stable across schedules (the
-bench gate's criterion), the ``extras["dense"]`` telemetry block, the
-bitset-backed :class:`PointsToSolution` invariants, and the SCC
-condensation's topological soundness.
+The schedule-equivalence gate already proves both schedules reach the
+same object-level fixpoint; this module pins down the dense engine's
+own contracts — content digests stable across schedules (the bench
+gate's criterion), the ``extras["dense"]`` telemetry block, and the
+bitset-backed :class:`PointsToSolution` invariants.
 """
 
 import pytest
 
 from repro.analysis.insensitive import analyze_insensitive
-from repro.analysis.scheduling import (
-    EXTRAS_KEY,
-    _static_callee,
-    _successors,
-    compute_port_scc_order,
-    port_scc_order,
-)
 from repro.analysis.sensitive import analyze_sensitive
 from repro.fuzz.oracle import solution_digest
-from repro.ir.nodes import CallNode
 from repro.memory.facttable import popcount
 from repro.suite.registry import PROGRAM_NAMES, load_program
 
-SCHEDULES = ("batched", "fifo", "scc")
+SCHEDULES = ("batched", "fifo")
 
 
 @pytest.mark.parametrize("name", PROGRAM_NAMES)
 def test_solution_digests_identical_across_schedules(name):
-    """CI and CS content digests match for fifo × batched × scc."""
+    """CI and CS content digests match for fifo × batched."""
     program = load_program(name)
     ci_digests = {}
     cs_digests = {}
@@ -49,15 +40,6 @@ class TestDenseTelemetry:
         assert dense["fact_ids"] > 0
         assert dense["bitset_words"] > 0
         assert dense["decode_calls"] >= 0
-        assert "scc_count" not in dense  # batched runs unordered
-
-    def test_scc_count_reported_under_scc(self):
-        result = analyze_insensitive(load_program("span"),
-                                     schedule="scc")
-        dense = result.extras["dense"]
-        assert dense["scc_count"] >= 1
-        _, count = port_scc_order(result.program)
-        assert dense["scc_count"] == count
 
 
 class TestBitsetSolution:
@@ -84,34 +66,3 @@ class TestBitsetSolution:
         assert solution.add(output, known) is False
         assert solution.join_mask(output, solution.mask(output)) == 0
         assert solution.pairs(output) is first
-
-
-class TestSccOrder:
-    def test_every_port_ordered_and_edges_monotone(self):
-        program = load_program("allroots")
-        order, count = compute_port_scc_order(program)
-        assert count >= 1
-        callers = {}
-        for node in program.all_nodes():
-            if isinstance(node, CallNode):
-                callee = _static_callee(program, node)
-                if callee is not None:
-                    callers.setdefault(callee, []).append(node)
-        for node in program.all_nodes():
-            successors = list(_successors(program, node, callers))
-            for port in node.inputs:
-                index = order[port]
-                assert 0 <= index < count
-                # Condensation edges never point backwards: a
-                # consumer's SCC sorts with (same SCC) or after its
-                # producer's.
-                for succ in successors:
-                    assert order[succ] >= index
-
-    def test_order_is_deterministic_and_cached(self):
-        program = load_program("span")
-        first = port_scc_order(program)
-        assert port_scc_order(program) is first
-        assert program.extras[EXTRAS_KEY] is first
-        again = compute_port_scc_order(program)
-        assert again == first

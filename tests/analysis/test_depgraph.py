@@ -87,13 +87,8 @@ class TestDeterminism:
     def test_digest_stable_across_schedules(self):
         program = load_program("part", cache=False)
         base = build_depgraph(analyze_insensitive(program)).digest()
-        for schedule in ("fifo", "scc"):
-            alt = build_depgraph(
-                analyze_insensitive(program, schedule=schedule))
-            assert alt.digest() == base
-        par = build_depgraph(analyze_insensitive(
-            program, schedule="scc", parallel_scc=True))
-        assert par.digest() == base
+        alt = build_depgraph(analyze_insensitive(program, schedule="fifo"))
+        assert alt.digest() == base
 
     def test_rebuild_is_identical(self, graph):
         program = lower_source(SOURCE, name="dep.c")

@@ -1,12 +1,12 @@
-"""Equivalence gate: every worklist schedule agrees everywhere.
+"""Equivalence gate: both worklist schedules agree everywhere.
 
-All three worklist disciplines — ``batched`` and ``scc`` on the dense
-bitset engine, ``fifo`` on the object-at-a-time reference engine —
-must compute the *same fixpoint* — solutions, call graphs, and every
-client-visible answer — on every suite program, for both analyses.
+The two worklist disciplines — ``batched`` on the dense bitset
+engine, ``fifo`` on the object-at-a-time reference engine — must
+compute the *same fixpoint* — solutions, call graphs, and every
+client-visible answer — on every suite program, for every analysis.
 Monotone joins over finite lattices guarantee this on paper; this
-gate guarantees nobody's batching shortcut (or bitset encoding, or
-SCC priority) quietly weakens a transfer function.
+gate guarantees nobody's batching shortcut (or bitset encoding)
+quietly weakens a transfer function.
 
 Schedule-dependent quantities (``meets``; all CS counters, because
 subsumption order varies) are deliberately NOT compared — see
@@ -25,7 +25,7 @@ from repro.suite.registry import PROGRAM_NAMES, load_program
 
 #: The reference point is ``batched``; every other schedule is
 #: compared against it (which by transitivity compares them all).
-OTHER_SCHEDULES = ("fifo", "scc")
+OTHER_SCHEDULES = ("fifo",)
 
 
 def _solution_snapshot(result):
@@ -62,29 +62,6 @@ def _defuse_snapshot(result):
                 snapshot[read] = frozenset(
                     info.reaching_definitions(read))
     return snapshot
-
-
-@pytest.mark.parametrize("name", PROGRAM_NAMES)
-class TestParallelSccEquivalence:
-    """The thread-sharded SCC solver is the fourth discipline: same
-    fixpoint, same schedule-invariant counters, any interleaving."""
-
-    def test_ci_identical_and_digest_stable(self, name):
-        from repro.fuzz.oracle import solution_digest
-
-        program = load_program(name)
-        serial = analyze_insensitive(program, schedule="scc")
-        parallel = analyze_insensitive(program, schedule="scc",
-                                       parallel_scc=True)
-        assert _solution_snapshot(serial) == _solution_snapshot(parallel)
-        assert _callgraph_snapshot(serial) == _callgraph_snapshot(parallel)
-        assert solution_digest(serial) == solution_digest(parallel)
-        assert serial.counters.transfers == parallel.counters.transfers
-        assert serial.counters.pairs_added == parallel.counters.pairs_added
-        dense = parallel.extras["dense"]
-        assert dense["scc_parallelism"] >= 1
-        assert dense["scc_levels"] >= 1
-        assert dense["packed_words"] >= 0
 
 
 @pytest.mark.parametrize("other", OTHER_SCHEDULES)

@@ -127,13 +127,10 @@ def test_keys_are_pure_functions_of_source():
                  id="batched"),
     pytest.param(lambda p: analyze_insensitive(p, schedule="fifo"),
                  id="fifo"),
-    pytest.param(lambda p: analyze_insensitive(p, schedule="scc"),
-                 id="scc"),
-    pytest.param(lambda p: analyze_insensitive(p, jobs=2), id="jobs2"),
 ])
 def test_summary_digest_is_schedule_independent(solve):
     """The same fixpoint yields digest-identical summaries no matter
-    which schedule — or how many worker jobs — computed it."""
+    which schedule computed it."""
     program = lower(TWO_LEAF, name="two")
     codec = LocationCodec(program)
     baseline = extract_summary(analyze_insensitive(program),

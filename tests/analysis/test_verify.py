@@ -13,7 +13,6 @@ from repro.analysis.verify import (
 )
 from repro.fuzz.mutations import cs_survive_dom
 from repro.memory import direct, global_location, location_path
-from repro.memory.packedbits import PackedBits
 from tests.conftest import analyze_both, lower
 
 
@@ -63,9 +62,9 @@ class TestVerifier:
         program, ci, _ = analyze_both(SRC)
         # Remove one pair from some populated output.
         for output in list(ci.solution.outputs()):
-            bits = ci.solution._packed[output].to_mask()
+            bits = ci.solution._masks[output]
             if bits and output.node.kind != "entry":
-                ci.solution._packed[output] = PackedBits(bits & (bits - 1))
+                ci.solution._masks[output] = bits & (bits - 1)
                 ci.solution._decoded.pop(output, None)
                 break
         violations = verify_solution(ci)
@@ -88,8 +87,7 @@ class TestVerifier:
     def test_assert_fixpoint_raises_with_listing(self):
         program, ci, _ = analyze_both("int g; int main(void) "
                                       "{ g = 1; return g; }")
-        ci.solution._packed = {k: PackedBits(0)
-                               for k in ci.solution._packed}
+        ci.solution._masks = dict.fromkeys(ci.solution._masks, 0)
         ci.solution._decoded.clear()
         with pytest.raises(AssertionError, match="fixpoint violations"):
             assert_fixpoint(ci)

@@ -1,13 +1,16 @@
 """Unit tests for the dense-id fact table and bitset helpers."""
 
 import pickle
+import random
+
+import pytest
 
 from repro.memory.access import INDEX, FieldOp, make_path
 from repro.memory.base import global_location, heap_location
 from repro.memory.facttable import (
     FactTable,
     bitset_words,
-    iter_bits,
+    decode_ids,
     popcount,
 )
 from repro.memory.pairs import pair
@@ -26,11 +29,39 @@ def _sample_pairs():
     return [pair(gp, hp), pair(gx, hp), pair(hp, gp), pair(hi, gx)]
 
 
+def random_mask(rng: random.Random, nbits: int, density: float) -> int:
+    """A random bitset over ``nbits`` positions at roughly ``density``."""
+    if nbits <= 0:
+        return 0
+    count = max(0, int(nbits * density))
+    mask = 0
+    for _ in range(count):
+        mask |= 1 << rng.randrange(nbits)
+    return mask
+
+
+#: Bit widths exercising zero, sub-word, exact 64-bit word boundaries,
+#: and masks hundreds of words wide.
+WIDTHS = [0, 1, 63, 64, 65, 128, 1000, 8191, 8192, 8193, 8640]
+
+
+class TestDecodeIds:
+    @pytest.mark.parametrize("nbits", WIDTHS)
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.5, 1.0])
+    def test_decode_ids_matches_reference(self, nbits, density):
+        """Both the bit-peeling and the bytewise paths: densities
+        straddle the peeling limit on the wider widths."""
+        rng = random.Random(int(nbits * 100 + density * 10))
+        mask = random_mask(rng, nbits, density)
+        expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert decode_ids(mask) == expected
+
+
 class TestBitHelpers:
-    def test_iter_bits_matches_manual_scan(self):
+    def test_decode_ids_matches_manual_scan(self):
         mask = (1 << 0) | (1 << 3) | (1 << 70)
-        assert list(iter_bits(mask)) == [0, 3, 70]
-        assert list(iter_bits(0)) == []
+        assert decode_ids(mask) == [0, 3, 70]
+        assert decode_ids(0) == []
 
     def test_popcount(self):
         assert popcount(0) == 0
@@ -61,7 +92,7 @@ class TestFactTable:
         mask = table.pair_mask(pairs)
         assert popcount(mask) == len(pairs)
         decoded = table.decode_pairs(mask)
-        assert decoded == [table.pair_of(i) for i in iter_bits(mask)]
+        assert decoded == [table.pair_of(i) for i in decode_ids(mask)]
         assert set(decoded) == set(pairs)
 
     def test_decode_calls_counter(self):
@@ -82,7 +113,7 @@ class TestFactTable:
         assert g_mask & h_mask == 0
         assert g_mask | h_mask == (1 << len(pairs)) - 1
         assert all(table.pair_of(i).path.base is G
-                   for i in iter_bits(g_mask))
+                   for i in decode_ids(g_mask))
         assert table.base_mask(global_location("unseen")) == 0
 
     def test_path_ids_independent_of_pair_ids(self):
@@ -136,4 +167,4 @@ class TestFactTable:
         pairs = _sample_pairs()
         mask = table.pair_mask(pairs[1:3])
         items = table.decode_items(mask)
-        assert items == [(i, table.pair_of(i)) for i in iter_bits(mask)]
+        assert items == [(i, table.pair_of(i)) for i in decode_ids(mask)]

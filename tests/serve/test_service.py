@@ -145,6 +145,55 @@ def test_bad_requests_are_400(service, body, fragment):
     assert fragment in payload["error"]
 
 
+#: Per endpoint, the fields a well-formed request needs besides the
+#: field under test.
+_ENDPOINT_BODIES = {
+    "analyze": {"source": SOURCE},
+    "check": {"source": SOURCE},
+    "query": {"source": SOURCE},
+    "slice": {"source": SOURCE, "criterion": "x.c:1"},
+}
+
+
+def _refuse_work(service, monkeypatch):
+    """Fail any request that reaches the pool or an in-process solve;
+    returns the list such attempts are recorded in."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("validation should have rejected this")
+
+    monkeypatch.setattr(service.pool, "run", refuse)
+    monkeypatch.setattr(service, "_solved_result", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("endpoint", sorted(_ENDPOINT_BODIES))
+@pytest.mark.parametrize("schedule", ["bogus", "scc", ["x"]])
+def test_bad_schedule_is_400_before_any_work(service, monkeypatch,
+                                             endpoint, schedule):
+    calls = _refuse_work(service, monkeypatch)
+    body = dict(_ENDPOINT_BODIES[endpoint], schedule=schedule)
+    status, payload = service.handle(endpoint, body)
+    assert status == 400, payload
+    assert "unknown schedule" in payload["error"]
+    assert "batched, fifo" in payload["error"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("field,value", [("function", ["x"]),
+                                         ("line", {"a": 1})])
+def test_bad_query_filter_is_400_before_any_work(service, monkeypatch,
+                                                 field, value):
+    calls = _refuse_work(service, monkeypatch)
+    status, payload = service.handle(
+        "query", {"source": SOURCE, field: value})
+    assert status == 400, payload
+    assert repr(field) in payload["error"]
+    assert calls == []
+
+
 def test_unknown_checker_id_is_400(service):
     """A typo'd checker id is a client error, validated parent-side —
     not a worker-side crash surfacing as a 500."""

@@ -85,7 +85,6 @@ class TestJson:
         digests = set()
         for extra in (["--schedule", "batched"],
                       ["--schedule", "fifo"],
-                      ["--schedule", "scc"],
                       ["--jobs", "2"],
                       ["--no-cache"]):
             assert main(["slice", flow_c, "--criterion", "flow.c:10",

@@ -23,9 +23,9 @@ from repro.suite.registry import program_path
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: Modules no warm path may load: numpy (dense bitset kernels),
-#: pycparser and the AST lowering (cache misses only), the process
-#: pool, the experiment drivers, and the incremental engine.
+#: Modules no warm path may load: numpy (no path needs it), pycparser
+#: and the AST lowering (cache misses only), the process pool, the
+#: experiment drivers, and the incremental engine.
 FORBIDDEN = ("numpy", "pycparser", "multiprocessing",
              "repro.frontend.lower", "repro.report.experiments",
              "repro.analysis.incremental")
@@ -113,6 +113,25 @@ def test_warm_subcommand_imports_only_what_it_runs(workdir, command):
     assert "pycparser" in cold
     warm = _loaded(workdir, _CLI, *argv)
     assert _forbidden(warm) == []
+
+
+#: One ``serve-cold`` fresh-class solve: a generated program with
+#: enough dense masks to reach every decode path, through the daemon's
+#: worker with all three flavors, cache and incremental on.
+_SERVE_COLD = """
+from repro.fuzz.generator import generate_program
+from repro.runner import FLAVORS, _serve_analyze_worker
+with open("fresh.c", "w") as fh:
+    fh.write(generate_program(1, 500).source)
+outcome = _serve_analyze_worker(("fresh.c", False, FLAVORS, "batched",
+                                 True, True))
+assert outcome.error is None, outcome.error
+assert set(outcome.payload["flavors"]) == set(FLAVORS)
+"""
+
+
+def test_cold_serve_solve_never_imports_numpy(workdir):
+    assert "numpy" not in _loaded(workdir, _SERVE_COLD)
 
 
 def test_every_public_name_resolves():
