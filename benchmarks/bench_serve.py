@@ -39,10 +39,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis.common import solution_digest  # noqa: E402
 from repro.analysis.flowinsensitive import analyze_flowinsensitive  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.analysis.sensitive import analyze_sensitive  # noqa: E402
-from repro.fuzz.oracle import solution_digest  # noqa: E402
 from repro.runner import run_check_report  # noqa: E402
 from repro.serve import ServeConfig  # noqa: E402
 from repro.serve.http import run_server  # noqa: E402

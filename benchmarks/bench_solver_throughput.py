@@ -43,10 +43,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis.common import solution_digest  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.cpus import available_cpus  # noqa: E402
 from repro.frontend.cache import resolve_cache_dir  # noqa: E402
-from repro.fuzz.oracle import solution_digest  # noqa: E402
 from repro.perf import PhaseTimer, best_of  # noqa: E402
 from repro.runner import (  # noqa: E402
     INLINE_TASK_THRESHOLD, run_suite, run_suite_report,

@@ -39,12 +39,12 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis.common import solution_digest  # noqa: E402
 from repro.analysis.flowinsensitive import analyze_flowinsensitive  # noqa: E402
 from repro.analysis.incremental import analyze_incremental  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.analysis.sensitive import analyze_sensitive  # noqa: E402
 from repro.frontend.lower import lower_source  # noqa: E402
-from repro.fuzz.oracle import solution_digest  # noqa: E402
 from repro.suite.registry import source_text  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_incremental.json"

@@ -9,6 +9,7 @@ dynamically discovered call graph.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -30,7 +31,7 @@ from ..choices import SCHEDULES
 from ..errors import AnalysisError
 from ..memory.access import EMPTY_OFFSET, AccessPath
 from ..memory.base import LocationKind
-from ..memory.facttable import FactTable, bitset_words
+from ..memory.facttable import FactTable, bitset_words, decode_ids
 from ..memory.pairs import PointsToPair
 from ..ir.graph import FunctionGraph, Program
 from ..ir.nodes import CallNode, InputPort, LookupNode, Node, OutputPort, UpdateNode
@@ -296,6 +297,43 @@ class AnalysisResult:
 
     def op_locations(self, node: Node) -> Set[AccessPath]:
         return self.solution.op_locations(node)
+
+
+def solution_digest(result: AnalysisResult) -> str:
+    """Canonical content hash of a solution, stable across processes.
+
+    Node uids are assigned deterministically by the lowering and pair
+    reprs contain no ids, so equal solutions of equal programs digest
+    equally even after pickling across a process pool or a cache
+    round-trip.  One line per output: ``graph|kind#uid|port|`` and the
+    output's sorted pair reprs joined by ``;``.
+
+    Works on the masks: each fact id is rendered once and each
+    distinct mask's text built once, so the cost follows the distinct
+    facts and masks rather than every occurrence of a fact, and no
+    pair set is decoded.
+    """
+    solution = result.solution
+    pair_of = solution.table.pair_of
+    rendered: Dict[int, str] = {}
+    texts: Dict[int, str] = {}
+    lines = []
+    for output in solution.outputs():
+        mask = solution.mask(output)
+        text = texts.get(mask)
+        if text is None:
+            reprs = []
+            for ident in decode_ids(mask):
+                fact = rendered.get(ident)
+                if fact is None:
+                    fact = rendered[ident] = repr(pair_of(ident))
+                reprs.append(fact)
+            text = texts[mask] = ";".join(sorted(reprs))
+        node = output.node
+        lines.append(f"{node.graph.name}|{node.kind}#{node.uid}|"
+                     f"{output.name}|{text}")
+    lines.sort()
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 class Worklist:

@@ -78,10 +78,13 @@ _TAG_FIELD = {
 
 
 def pair_census(result: AnalysisResult) -> PairCensus:
+    """Pairs per output type, counted on the masks (no decoding)."""
     census = PairCensus()
-    for output, pairs in result.solution.items():
+    solution = result.solution
+    for output in solution.outputs():
         bucket = _TAG_FIELD[output.tag]
-        setattr(census, bucket, getattr(census, bucket) + len(pairs))
+        setattr(census, bucket, getattr(census, bucket)
+                + solution.mask(output).bit_count())
     return census
 
 

@@ -51,6 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..errors import AnalysisError
 from ..memory.access import INDEX, AccessPath, FieldOp
 from ..memory.base import BaseLocation, LocationKind
+from ..memory.facttable import decode_ids
 from ..memory.pairs import PointsToPair, pair as make_pair
 from ..ir.graph import FunctionGraph, Program
 from ..ir.nodes import (
@@ -112,6 +113,9 @@ class LocationCodec:
     def __init__(self, program: Program) -> None:
         self._key_of: Dict[int, Tuple[str, str, str, int]] = {}
         self._loc_of: Dict[Tuple[str, str, str, int], BaseLocation] = {}
+        #: :meth:`encode_path` memo (paths are interned, so they key by
+        #: identity).
+        self._path_keys: Dict[AccessPath, tuple] = {}
         counts: Dict[Tuple[str, str, str], int] = {}
         ordered: List[BaseLocation] = list(program.locations)
         seen = {id(loc) for loc in ordered}
@@ -153,11 +157,15 @@ class LocationCodec:
     # -- access paths ------------------------------------------------------
 
     def encode_path(self, path: AccessPath) -> tuple:
-        base = (None if path.base is None
-                else self.encode_location(path.base))
-        ops = tuple(("i",) if op.is_index else ("f", str(op.owner), op.name)
-                    for op in path.ops)
-        return (base, ops)
+        encoded = self._path_keys.get(path)
+        if encoded is None:
+            base = (None if path.base is None
+                    else self.encode_location(path.base))
+            ops = tuple(("i",) if op.is_index
+                        else ("f", str(op.owner), op.name)
+                        for op in path.ops)
+            encoded = self._path_keys[path] = (base, ops)
+        return encoded
 
     def decode_path(self, encoded: tuple) -> AccessPath:
         base_key, ops = encoded
@@ -501,43 +509,55 @@ def extract_summary(result: AnalysisResult, functions: Sequence[str],
                     codec: LocationCodec) -> Summary:
     """Extract one SCC's summary from a (complete) analysis result.
 
-    Works object-level through ``solution.pairs`` so it serves every
-    flavor — including FI, whose solution encodes against a private
-    fact table.  Empty outputs are skipped: whole-program solving
+    Works on the solution's masks, which serves every flavor: CI, CS
+    and FI all encode against the program's shared fact table.  Each
+    fact id is encoded once per summary, in fact-id order, and each
+    distinct mask's sorted pair-index tuple is built once, so no pair
+    set is decoded.  Empty outputs are skipped: whole-program solving
     never materializes empty sets either, which keeps replayed
     solutions digest-identical to solved ones.
     """
     summary = Summary(version=SUMMARY_VERSION, flavor=result.flavor,
                       functions=tuple(sorted(functions)))
+    solution = result.solution
+    pair_of = solution.table.pair_of
     path_ids: Dict[tuple, int] = {}
     pair_ids: Dict[Tuple[int, int], int] = {}
+    fact_pairs: Dict[int, int] = {}  # fact id → index in summary.pairs
+    mask_pairs: Dict[int, Tuple[int, ...]] = {}  # mask → sorted indices
 
-    def path_id(encoded: tuple) -> int:
+    def path_id(path: AccessPath) -> int:
+        encoded = codec.encode_path(path)
         ident = path_ids.get(encoded)
         if ident is None:
             ident = path_ids[encoded] = len(summary.paths)
             summary.paths.append(encoded)
         return ident
 
-    def pair_id(p: PointsToPair) -> int:
-        key = (path_id(codec.encode_path(p.path)),
-               path_id(codec.encode_path(p.referent)))
-        ident = pair_ids.get(key)
+    def pair_id(fact: int) -> int:
+        ident = fact_pairs.get(fact)
         if ident is None:
-            ident = pair_ids[key] = len(summary.pairs)
-            summary.pairs.append(key)
+            p = pair_of(fact)
+            key = (path_id(p.path), path_id(p.referent))
+            ident = pair_ids.get(key)
+            if ident is None:
+                ident = pair_ids[key] = len(summary.pairs)
+                summary.pairs.append(key)
+            fact_pairs[fact] = ident
         return ident
 
-    solution = result.solution
     callgraph = result.callgraph
     for name in summary.functions:
         graph = result.program.functions[name]
         for node in sorted(graph.nodes, key=lambda n: n.uid):
             for out_idx, output in enumerate(node.outputs):
-                pairs = solution.pairs(output)
-                if not pairs:
+                mask = solution.mask(output)
+                if not mask:
                     continue
-                ids = tuple(sorted(pair_id(p) for p in pairs))
+                ids = mask_pairs.get(mask)
+                if ids is None:
+                    ids = mask_pairs[mask] = tuple(sorted(
+                        pair_id(fact) for fact in decode_ids(mask)))
                 summary.outputs.append((name, node.uid, out_idx, ids))
             if isinstance(node, CallNode):
                 callees = callgraph.callees(node)

@@ -21,16 +21,3 @@ cross-checking methodology (cut-shortcut, GPG):
 transfer rules used to prove the oracle actually catches unsoundness
 (and that the shrinker produces small reproducers).
 """
-
-from .generator import GeneratedProgram, generate_program
-from .oracle import CheckReport, Violation, check_program
-from .shrink import shrink_program
-
-__all__ = [
-    "CheckReport",
-    "GeneratedProgram",
-    "Violation",
-    "check_program",
-    "generate_program",
-    "shrink_program",
-]

@@ -36,13 +36,12 @@ cache miss/hit cycle must digest identically.
 
 from __future__ import annotations
 
-import hashlib
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..analysis.common import AnalysisResult
+from ..analysis.common import AnalysisResult, solution_digest
 from ..analysis.flowinsensitive import analyze_flowinsensitive
 from ..analysis.insensitive import analyze_insensitive
 from ..analysis.sensitive import analyze_sensitive
@@ -86,24 +85,6 @@ class CheckReport:
     def signature(self) -> frozenset:
         """Which obligation kinds failed — the shrinker preserves this."""
         return frozenset(v.kind for v in self.violations)
-
-
-def solution_digest(result: AnalysisResult) -> str:
-    """Canonical content hash of a solution, stable across processes.
-
-    Node uids are assigned deterministically by the lowering and pair
-    reprs contain no ids, so equal solutions of equal programs digest
-    equally even after pickling across a process pool or a cache
-    round-trip.
-    """
-    lines = []
-    for output, pairs in result.solution.items():
-        node = output.node
-        rendered = ";".join(sorted(repr(p) for p in pairs))
-        lines.append(f"{node.graph.name}|{node.kind}#{node.uid}|"
-                     f"{output.name}|{rendered}")
-    lines.sort()
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def _origin_line(node) -> Optional[int]:
@@ -162,8 +143,8 @@ def check_program(source: str, name: str = "<fuzz>", *,
 
     ``checkers=True`` adds the checker-client oracle: the program is
     re-lowered under the hazard model, the bug checkers sweep the CI
-    and CS results, finding digests must agree across the batched,
-    FIFO, and SCC schedules, and any concrete null-dereference or
+    and CS results, finding digests must agree across the batched and
+    FIFO schedules, and any concrete null-dereference or
     uninitialized-read trap must be covered by a same-line finding of
     the matching checker under *both* flavors — a missed concrete
     hazard is a hard soundness failure (kind ``"checker"``).
@@ -172,7 +153,7 @@ def check_program(source: str, name: str = "<fuzz>", *,
     interpreter's def→use flows (the line that last wrote a cell → a
     pointer read of it) must each be covered by a ``mem`` edge of the
     CI dependence graph between those lines, and the graph digest must
-    agree across the batched/FIFO/SCC schedules (kind ``"slice"``).
+    agree across the batched and FIFO schedules (kind ``"slice"``).
     Flows whose endpoints lower to sparse SSA edges rather than store
     operations are skipped — only flows with an update node at the def
     line and a lookup node at the use line are obligations.

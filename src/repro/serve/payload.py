@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..analysis.common import AnalysisResult
+from ..analysis.common import AnalysisResult, solution_digest
 
 #: Cache tiers, hottest first.  ``solution`` is parent-side (payload
 #: LRU hit — no worker involved); the rest are classified from the
@@ -29,7 +29,6 @@ def analysis_payload(name: str,
                      schedule: Optional[str] = None) -> dict:
     """The JSON response body for one analyzed program."""
     from ..analysis.stats import pair_census
-    from ..fuzz.oracle import solution_digest
 
     flavors: Dict[str, dict] = {}
     for flavor, result in results.items():
@@ -90,7 +89,9 @@ def check_payload(name: str, digests: Mapping[str, str],
 
     Built parent-side from a ``digest_only`` check outcome: the finding
     lists never left the worker, only their digests and the per-flavor
-    count-carrying telemetry records.
+    count-carrying telemetry records.  Those records carry the lowering
+    status and the summary counters, so the tier is classified by the
+    same :func:`worker_tier` rule as ``/analyze``'s.
     """
     flavors: Dict[str, dict] = {}
     for record in records:
@@ -107,13 +108,9 @@ def check_payload(name: str, digests: Mapping[str, str],
         }
         if record.get("dense") is not None:
             flavors[flavor]["dense"] = dict(record["dense"])
-    tier = "cold"
-    if flavors and all(entry.get("cache") == "hit"
-                       for entry in flavors.values()):
-        tier = "lowering"
     return {
         "program": str(name),
         "schedule": schedule,
         "flavors": flavors,
-        "tier": tier,
+        "tier": worker_tier(flavors),
     }

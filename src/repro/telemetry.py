@@ -104,11 +104,13 @@ def result_record(program: str, result: AnalysisResult,
     cache_load, recorded by :func:`repro.frontend.lower.lower_file`)
     with the solver's own ``solve`` phase.  Runs of the dense bitset
     engine additionally carry a ``"dense"`` object — fact ids
-    allocated, total 64-bit bitset words in the solution, bitset→object
-    decode calls, and (under the SCC schedule) the condensation's
-    component count.  These describe the *representation*, not the
-    analysis: unlike the paper counters they may vary between processes
-    with differently warmed fact tables.
+    allocated, total 64-bit bitset words in the solution, translation
+    kernel calls and bitset→object decode calls, plus, for runs of the
+    incremental engine, its summary counters (see
+    :func:`repro.analysis.incremental.analyze_incremental`).  These
+    describe the *representation*, not the analysis: unlike the paper
+    counters they may vary between processes with differently warmed
+    fact tables.
     """
     record = {
         "schema": SCHEMA_VERSION,

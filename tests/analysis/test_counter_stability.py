@@ -4,8 +4,10 @@ CI, CS and FI ``transfers``/``meets`` (§4.3) and solution digests,
 under both schedules, must not depend on whether a program was lowered
 fresh or loaded from the lowering cache, nor on the process's memory
 layout: nodes, ports and pairs hash by identity, so any solver loop
-over a set of them would visit in address order.  Each run is a
-separate interpreter.
+over a set of them would visit in address order.  The same holds for
+the bytes of the summaries a solve persists, whose intern tables
+follow the order facts are visited in.  Each run is a separate
+interpreter.
 """
 
 from __future__ import annotations
@@ -23,20 +25,24 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 #: argv: PAD CACHE ORDER — allocate PAD objects of mixed sizes (freeing
 #: every other one, so later allocations land in a different layout),
 #: then lower (CACHE = cache directory, or "off") and solve the suite
-#: with every flavor under both schedules.  ORDER "repr" rehashes
+#: with every flavor under both schedules, hashing the pickled payloads
+#: of the batched solve's summaries (CI per SCC, CS and FI whole
+#: program) as the summary store writes them.  ORDER "repr" rehashes
 #: pairs by their text, so every set of pairs iterates in an order
 #: that PYTHONHASHSEED fixes and memory layout cannot touch.
 _SCRIPT = """
-import json, sys
+import hashlib, json, pickle, sys
 pad = [[None] * (i % 7) for i in range(int(sys.argv[1]))]
 del pad[::2]
 if sys.argv[3] == "repr":
     from repro.memory.pairs import PointsToPair
     PointsToPair.__hash__ = lambda self: hash(repr(self))
+from repro.analysis.common import solution_digest
 from repro.analysis.flowinsensitive import analyze_flowinsensitive
 from repro.analysis.insensitive import analyze_insensitive
 from repro.analysis.sensitive import analyze_sensitive
-from repro.fuzz.oracle import solution_digest
+from repro.analysis.summaries import (LocationCodec, call_condensation,
+                                      extract_summary)
 from repro.suite.registry import PROGRAM_NAMES, load_program
 cache = False if sys.argv[2] == "off" else sys.argv[2]
 out = {}
@@ -51,8 +57,17 @@ for name in PROGRAM_NAMES:
             counters.append([result.counters.transfers,
                              result.counters.meets])
             digests.append(solution_digest(result))
+        if schedule == "batched":
+            codec = LocationCodec(program)
+            summaries = [extract_summary(ci, members, codec)
+                         for members in call_condensation(program).sccs]
+            summaries += [extract_summary(result, sorted(program.functions),
+                                          codec) for result in (cs, fi)]
+            blob = pickle.dumps([s.as_payload() for s in summaries],
+                                protocol=5)
     out[name] = {"cache": program.extras["cache"],
-                 "counters": counters, "digests": digests}
+                 "counters": counters, "digests": digests,
+                 "summaries": hashlib.sha256(blob).hexdigest()}
 print(json.dumps(out))
 """
 
@@ -74,7 +89,7 @@ def _solve_suite(pad: int, cache: str, hash_seed: str = "") -> dict:
 
 
 def _facts(run: dict) -> dict:
-    return {name: (entry["counters"], entry["digests"])
+    return {name: (entry["counters"], entry["digests"], entry["summaries"])
             for name, entry in run.items()}
 
 

@@ -2,14 +2,25 @@
 
 The dense fact engine keeps solutions as bitsets; ``decode_calls`` on
 the fact table counts every bitset→object materialization.  The
-mod/ref summary construction and dead-store reachability test are
-required to stay at the mask level — zero decodes — with objects
-produced only when a caller explicitly asks for a set.
+mod/ref summary construction, the dead-store reachability test, and
+the renderers that turn a solved result into text or a summary
+(solution digest, pair census, summary extraction) are required to
+stay at the mask level — zero decodes — with objects produced only
+when a caller explicitly asks for a set.
 """
 
 import repro
 from repro.analysis.clients.deadstore import find_dead_stores
 from repro.analysis.clients.modref import modref
+from repro.analysis.common import solution_digest
+from repro.analysis.flowinsensitive import analyze_flowinsensitive
+from repro.analysis.stats import pair_census
+from repro.analysis.summaries import (
+    LocationCodec,
+    call_condensation,
+    extract_summary,
+)
+from repro.suite.registry import load_program
 
 from ..conftest import lower
 
@@ -96,3 +107,22 @@ class TestDecodeFreeClients:
             for node in graph.memory_operations():
                 if node in report.unreachable:
                     assert not solution.op_targets_mask(node)
+
+
+class TestDecodeFreeRendering:
+    def test_digest_census_and_summaries_decode_nothing(self):
+        program = load_program("part", cache=False)
+        ci = repro.analyze_insensitive(program)
+        results = [ci, repro.analyze_sensitive(program, ci_result=ci),
+                   analyze_flowinsensitive(program)]
+        table = ci.solution.table
+        assert all(result.solution.table is table for result in results)
+        before = table.decode_calls
+        codec = LocationCodec(program)
+        for members in call_condensation(program).sccs:
+            extract_summary(ci, members, codec)
+        for result in results:
+            solution_digest(result)
+            pair_census(result)
+            extract_summary(result, sorted(program.functions), codec)
+        assert table.decode_calls == before

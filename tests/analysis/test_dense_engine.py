@@ -9,9 +9,9 @@ bitset-backed :class:`PointsToSolution` invariants.
 
 import pytest
 
+from repro.analysis.common import solution_digest
 from repro.analysis.insensitive import analyze_insensitive
 from repro.analysis.sensitive import analyze_sensitive
-from repro.fuzz.oracle import solution_digest
 from repro.memory.facttable import popcount
 from repro.suite.registry import PROGRAM_NAMES, load_program
 

@@ -15,9 +15,9 @@ import pickle
 
 import pytest
 
+from repro.analysis.common import solution_digest
 from repro.analysis.incremental import SummaryStore, analyze_incremental
 from repro.analysis.summaries import SUMMARY_VERSION
-from repro.fuzz.oracle import solution_digest
 
 from ..conftest import lower
 from .test_summaries_differential import TWO_LEAF

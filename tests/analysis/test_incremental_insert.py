@@ -15,9 +15,9 @@ decodes heap cells through coordinate-stripped structural keys, so:
 
 from __future__ import annotations
 
+from repro.analysis.common import solution_digest
 from repro.analysis.flowinsensitive import analyze_flowinsensitive
 from repro.analysis.incremental import analyze_incremental
-from repro.fuzz.oracle import solution_digest
 
 import repro
 

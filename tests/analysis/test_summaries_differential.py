@@ -2,8 +2,8 @@
 
 The incremental driver (:mod:`repro.analysis.incremental`) may only
 ever change how much *work* a run does — never what it computes.  This
-harness holds it to object-level digest equality
-(:func:`repro.fuzz.oracle.solution_digest`) against independent
+harness holds it to digest equality
+(:func:`repro.analysis.common.solution_digest`) against independent
 whole-program solves, across every suite program and all three
 flavors, for each of its regimes:
 
@@ -21,9 +21,9 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.analysis.common import solution_digest
 from repro.analysis.flowinsensitive import analyze_flowinsensitive
 from repro.analysis.incremental import FLAVORS, analyze_incremental
-from repro.fuzz.oracle import solution_digest
 
 from ..conftest import lower
 

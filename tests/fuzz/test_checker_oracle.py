@@ -9,13 +9,14 @@ reported as a soundness failure — proving the oracle has teeth.
 import pytest
 
 from repro.analysis.checkers.base import REGISTRY
-from repro.fuzz import check_program, generate_program
 from repro.fuzz.driver import run_fuzz
+from repro.fuzz.generator import generate_program
 from repro.fuzz.mutations import (
     SOURCE_MUTATIONS,
     apply_drop_null_init,
     drop_null_init_candidates,
 )
+from repro.fuzz.oracle import check_program
 
 pytestmark = pytest.mark.fuzz
 

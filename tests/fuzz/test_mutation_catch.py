@@ -7,8 +7,8 @@ the differential oracle and auto-shrunk to a small reproducer.
 
 import pytest
 
-from repro.fuzz import check_program, generate_program
 from repro.fuzz.driver import run_fuzz
+from repro.fuzz.generator import generate_program
 from repro.fuzz.mutations import MUTATIONS, cs_survive_dom
 
 pytestmark = pytest.mark.fuzz

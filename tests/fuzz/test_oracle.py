@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.fuzz import check_program, generate_program
-from repro.fuzz.oracle import deep_checks, solution_digest
+from repro.analysis.common import solution_digest
 from repro.analysis.insensitive import analyze_insensitive
+from repro.fuzz.generator import generate_program
+from repro.fuzz.oracle import check_program, deep_checks
 from repro.frontend.lower import lower_source
 
 CLEAN = """\

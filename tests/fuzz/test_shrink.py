@@ -1,7 +1,8 @@
 """The failing-program minimizer."""
 
 from repro.frontend.lower import lower_source
-from repro.fuzz import generate_program, shrink_program
+from repro.fuzz.generator import generate_program
+from repro.fuzz.shrink import shrink_program
 
 
 def non_blank(source):

@@ -13,8 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.analysis.common import solution_digest
 from repro.analysis.flowinsensitive import analyze_flowinsensitive
-from repro.fuzz.oracle import solution_digest
 from repro.serve import AnalysisService, ServeConfig
 
 import repro

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.common import solution_digest
 from repro.analysis.flowinsensitive import analyze_flowinsensitive
-from repro.fuzz.oracle import solution_digest
 from repro.serve import AnalysisService, ServeConfig
 
 import repro
@@ -63,27 +63,31 @@ def test_repeat_hits_the_solution_tier(service):
     assert service.metrics.tier_hits["solution"] == 1
 
 
-def test_summary_tier_across_service_restarts(tmp_path):
+@pytest.mark.parametrize("endpoint", ["analyze", "check"])
+def test_summary_tier_across_service_restarts(tmp_path, endpoint):
     """A fresh daemon against a warm cache directory answers from the
-    persisted SCC summaries: zero SCCs re-solved, same digests."""
+    persisted SCC summaries: zero SCCs re-solved, same digests, and the
+    ``summary`` tier for checks as well as analyses."""
     first = AnalysisService(ServeConfig(workers=2, cache=str(tmp_path)))
     try:
-        _, cold = first.handle("analyze", {"source": SOURCE})
+        _, cold = first.handle(endpoint, {"source": SOURCE})
     finally:
         first.shutdown()
     assert cold["tier"] == "cold"
 
     second = AnalysisService(ServeConfig(workers=2, cache=str(tmp_path)))
     try:
-        status, warm = second.handle("analyze", {"source": SOURCE})
+        status, warm = second.handle(endpoint, {"source": SOURCE})
     finally:
         second.shutdown()
     assert status == 200
     assert warm["tier"] == "summary"
+    assert second.metrics.tier_hits["summary"] == 1
+    assert second.metrics.tier_hits["lowering"] == 0
     assert _served_digests(warm) == _served_digests(cold)
-    dense = warm["flavors"]["insensitive"]["dense"]
-    assert dense["sccs_resolved"] == 0
-    assert dense["summary_scc_total"] > 0
+    for entry in warm["flavors"].values():
+        assert entry["dense"]["sccs_resolved"] == 0
+        assert entry["dense"]["summary_scc_total"] > 0
 
 
 def test_check_digests_match_cli_path(service, tmp_path):

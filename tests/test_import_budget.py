@@ -119,10 +119,7 @@ def test_warm_subcommand_imports_only_what_it_runs(workdir, command):
 #: enough dense masks to reach every decode path, through the daemon's
 #: worker with all three flavors, cache and incremental on.
 _SERVE_COLD = """
-from repro.fuzz.generator import generate_program
 from repro.runner import FLAVORS, _serve_analyze_worker
-with open("fresh.c", "w") as fh:
-    fh.write(generate_program(1, 500).source)
 outcome = _serve_analyze_worker(("fresh.c", False, FLAVORS, "batched",
                                  True, True))
 assert outcome.error is None, outcome.error
@@ -131,7 +128,16 @@ assert set(outcome.payload["flavors"]) == set(FLAVORS)
 
 
 def test_cold_serve_solve_never_imports_numpy(workdir):
-    assert "numpy" not in _loaded(workdir, _SERVE_COLD)
+    # Generated here, so that only the worker's own imports are seen:
+    # neither numpy nor the fuzz harness and its fixpoint verifier.
+    from repro.fuzz.generator import generate_program
+
+    (workdir / "fresh.c").write_text(generate_program(1, 500).source)
+    modules = _loaded(workdir, _SERVE_COLD)
+    assert "numpy" not in modules
+    assert sorted(m for m in modules
+                  if m == "repro.fuzz" or m.startswith("repro.fuzz.")
+                  or m == "repro.analysis.verify") == []
 
 
 def test_every_public_name_resolves():
