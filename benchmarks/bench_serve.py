@@ -43,7 +43,7 @@ from repro.analysis.common import solution_digest  # noqa: E402
 from repro.analysis.flowinsensitive import analyze_flowinsensitive  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.analysis.sensitive import analyze_sensitive  # noqa: E402
-from repro.runner import run_check_report  # noqa: E402
+from repro.runner import Request, run  # noqa: E402
 from repro.serve import ServeConfig  # noqa: E402
 from repro.serve.http import run_server  # noqa: E402
 from repro.suite.registry import PROGRAM_NAMES, load_program  # noqa: E402
@@ -196,9 +196,9 @@ def main() -> int:
                 failures.append(f"check {name}: HTTP {status}")
                 continue
             check_served[name] = _served_digests(payload)
-        fresh_report = run_check_report(
-            names=PROGRAM_NAMES, flavors=CHECK_FLAVORS, cache=False,
-            digest_only=True)
+        fresh_report = run([Request.build(
+            "check", name, flavors=CHECK_FLAVORS, cache=False,
+            payload_only=True) for name in PROGRAM_NAMES])
         for outcome in fresh_report.outcomes:
             if outcome.error is not None:
                 failures.append(f"fresh check {outcome.name}: "

@@ -49,7 +49,7 @@ from repro.cpus import available_cpus  # noqa: E402
 from repro.frontend.cache import resolve_cache_dir  # noqa: E402
 from repro.perf import PhaseTimer, best_of  # noqa: E402
 from repro.runner import (  # noqa: E402
-    INLINE_TASK_THRESHOLD, run_suite, run_suite_report,
+    INLINE_TASK_THRESHOLD, Request, run,
 )
 from repro.suite.adversarial import load_copy_chain  # noqa: E402
 from repro.suite.registry import PROGRAM_NAMES  # noqa: E402
@@ -112,21 +112,24 @@ def bench_sweep(names, jobs: int, repeats: int) -> dict:
     # inside affinity/cgroup-restricted containers.
     jobs = max(1, min(jobs, available_cpus()))
 
+    def sweep(jobs, schedule, cache):
+        return run([Request.build(
+            "analyze", name, flavors=("insensitive", "sensitive"),
+            schedule=schedule, cache=cache) for name in names],
+            jobs, fail_fast=True)
+
     def baseline():
         # The seed's behavior: lower every program from source, FIFO
         # worklist, one process, no persistence.
-        return run_suite(names=names, jobs=1, schedule="fifo",
-                         cache=False)
+        return sweep(1, "fifo", False)
 
     def optimized():
-        # The report path: same sweep, but shipping back the per-
-        # (program, flavor) telemetry records the workers produced, so
-        # BENCH_solver.json shares the --telemetry schema.  Sweeps of
-        # <= INLINE_TASK_THRESHOLD programs run inline — executor
+        # The same sweep on the production engine, shipping back the
+        # per-(program, flavor) telemetry records the workers produced,
+        # so BENCH_solver.json shares the --telemetry schema.  Sweeps
+        # of <= INLINE_TASK_THRESHOLD programs run inline — executor
         # setup would otherwise dominate and *lose* to the baseline.
-        return run_suite_report(names=names, jobs=jobs,
-                                schedule="batched", cache=True,
-                                fail_fast=True)
+        return sweep(jobs, "batched", True)
 
     optimized()  # warm the lowering cache (and allocator)
     base_seconds, _ = best_of(baseline, repeats)

@@ -1,7 +1,7 @@
 """Determinism + soundness gate for dependence-graph slicing.
 
 For three suite programs this smoke computes one backward slice per
-program through :func:`repro.runner.run_slice_report` under every
+program through :func:`repro.runner.run` under every
 combination that has ever produced nondeterminism elsewhere in the
 codebase — batched/FIFO schedules, inline vs process-pool
 (``jobs=2, force_pool``), lowering-cache cold vs warm — and *fails*
@@ -38,19 +38,19 @@ from repro.analysis.depgraph import build_depgraph  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.fuzz.generator import generate_program  # noqa: E402
 from repro.fuzz.oracle import check_program  # noqa: E402
-from repro.runner import run_slice_report  # noqa: E402
+from repro.runner import Request, run  # noqa: E402
 from repro.suite.registry import load_program  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_slice.json"
 
 PROGRAMS = ("part", "lex315", "loader")
 
-#: (label, run_slice_report overrides) — the baseline first.
+#: (label, request fields, run options) — the baseline first.
 CONFIGS = (
-    ("batched", {}),
-    ("fifo", {"schedule": "fifo"}),
-    ("jobs2", {"jobs": 2, "force_pool": True}),
-    ("nocache", {"cache": False}),
+    ("batched", {}, {"jobs": 1}),
+    ("fifo", {"schedule": "fifo"}, {"jobs": 1}),
+    ("jobs2", {}, {"jobs": 2, "force_pool": True}),
+    ("nocache", {"cache": False}, {"jobs": 1}),
 )
 
 FUZZ_SEED = 0
@@ -69,11 +69,9 @@ def discover_criterion(name: str) -> str:
     return f"{Path(path).name}:{line}"
 
 
-def slice_digests(name: str, criterion: str, **overrides):
-    defaults = dict(names=[name], criterion=criterion,
-                    jobs=1, schedule="batched", cache=True)
-    defaults.update(overrides)
-    report = run_slice_report(**defaults)
+def slice_digests(name: str, criterion: str, fields: dict, options: dict):
+    request = Request.build("slice", name, criterion=criterion, **fields)
+    report = run([request], **options)
     if not report.ok:
         for outcome in report.outcomes:
             if not outcome.ok:
@@ -95,8 +93,8 @@ def main() -> int:
         criterion = discover_criterion(name)
         entry = {"criterion": criterion, "configs": {}}
         baseline = None
-        for label, overrides in CONFIGS:
-            digests = slice_digests(name, criterion, **overrides)
+        for label, fields, options in CONFIGS:
+            digests = slice_digests(name, criterion, fields, options)
             entry["configs"][label] = digests
             if baseline is None:
                 baseline = digests

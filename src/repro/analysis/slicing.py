@@ -23,12 +23,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..choices import DIRECTIONS
 from ..errors import AnalysisError
 from .common import AnalysisResult
 from .depgraph import DependenceGraph, build_depgraph
-
-#: Slice directions.
-DIRECTIONS = ("backward", "forward")
 
 
 @dataclass

@@ -13,6 +13,10 @@ without loading the solvers or the experiment drivers that use them
 #: equivalence check compares against.
 SCHEDULES = ("batched", "fifo")
 
+#: Directions a dependence-graph slice walks: ``backward`` to what a
+#: point depends on, ``forward`` to what depends on it.
+DIRECTIONS = ("backward", "forward")
+
 #: Tables/figures :mod:`repro.report.experiments` regenerates, in the
 #: order ``repro experiment all`` prints them.
 EXPERIMENT_IDS = ("fig2", "fig3", "fig4", "fig6", "fig7", "cost",

@@ -8,19 +8,11 @@ Commands:
   mod/ref, def/use, and dead-store reports through the same
   deterministic text/JSON machinery.
 * ``dump FILE [--function NAME]`` — print the lowered VDG.
+* ``export FILE`` — serialize one analysis result as JSON.
 * ``experiment ID`` — regenerate one of the paper's tables/figures
   (fig2, fig3, fig4, fig6, fig7, cost, opt42, perf43, struct51, gap,
   checkers, slicing).
-
-``analyze``, ``experiment``, ``check``, ``slice`` and ``serve`` take
-``--schedule batched|fifo``: the dense production engine (default) or
-the one-fact reference queue, which reach identical solutions.
-
-``analyze`` and ``experiment`` share the run-layer flags:
-``--telemetry PATH`` writes one JSON-lines record per (program,
-flavor) — see :mod:`repro.telemetry` for the schema — and
-``--keep-going`` (default) / ``--fail-fast`` pick the failure policy
-for multi-program runs.
+* ``explain FILE`` — show derivations for indirect operations.
 * ``suite`` — list the benchmark suite programs.
 * ``check [FILE ...] [--checkers IDS] [--flavor X] [--format F]`` —
   run the bug-finding checkers (null dereference, use-after-return,
@@ -38,6 +30,19 @@ for multi-program runs.
   coalescing, and the fault-isolated process pool (see
   :mod:`repro.serve`).
 
+Shared flags are declared once.  Every subcommand that solves
+(``analyze``, ``experiment``, ``check``, ``slice``, ``serve``) takes
+``--schedule batched|fifo`` — the dense production engine (default) or
+the one-fact reference queue, which reach identical solutions — and
+``--no-cache``; all but ``serve`` take ``--jobs N``, and ``analyze``,
+``check`` and ``slice`` take ``--incremental``.  ``analyze``,
+``experiment``, ``check``, ``slice`` and ``fuzz`` share the run-layer
+flags: ``--telemetry PATH`` writes JSON-lines records (see
+:mod:`repro.telemetry` for the schema) and ``--keep-going`` (default)
+/ ``--fail-fast`` pick the failure policy for multi-program runs.
+``analyze``, ``check`` and ``slice`` run through the one request path
+of :mod:`repro.runner`.
+
 Each handler imports what its subcommand runs; the module itself loads
 only what building the argument parser needs.
 """
@@ -48,8 +53,34 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .choices import EXPERIMENT_IDS, SCHEDULES
+from .choices import DIRECTIONS, EXPERIMENT_IDS, SCHEDULES
 from .errors import ReproError
+
+
+def _add_solve_flags(parser: argparse.ArgumentParser, jobs: bool = True,
+                     incremental: bool = True) -> None:
+    """Flags of every subcommand that solves: the worklist schedule,
+    the lowering cache and, where offered, the worker count and
+    incremental summary replay."""
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                            help="fan programs across N worker processes "
+                                 "(default: 1, in-process)")
+    parser.add_argument("--schedule", default="batched",
+                        choices=list(SCHEDULES),
+                        help="worklist schedule: batched (dense bitset "
+                             "engine, default) or fifo (reference "
+                             "one-fact queue)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="skip the persistent lowering and summary "
+                             "caches under .repro-cache/")
+    if incremental:
+        parser.add_argument("--incremental", action="store_true",
+                            help="persist per-SCC summaries in the "
+                                 "lowering cache and re-solve only "
+                                 "call-graph SCCs whose bodies or "
+                                 "transitive callees changed (identical "
+                                 "solutions and digests)")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -76,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser(
-        "analyze", help="analyze a C program (several files are linked; "
-                        "with --jobs > 1 each file is a separate program)")
+    about = ("analyze a C program (several files are linked; with "
+             "--jobs > 1 each file is a separate program)")
+    analyze = sub.add_parser("analyze", help=about, description=about)
     analyze.add_argument("file", nargs="+", help="C source file(s)")
     analyze.add_argument("--sensitivity", default="both",
                          choices=["insensitive", "sensitive", "both",
@@ -96,24 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["text", "json"],
                          help="output format for the summary and "
                               "client reports (default: text)")
-    analyze.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="analyze each input file as an independent "
-                              "program, fanned across N worker processes "
-                              "(files are NOT linked; default: 1, linked)")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="skip the persistent lowering cache under "
-                              ".repro-cache/ and lower from scratch")
-    analyze.add_argument("--schedule", default="batched",
-                         choices=list(SCHEDULES),
-                         help="worklist schedule: batched (dense bitset "
-                              "engine, default) or fifo (reference "
-                              "one-fact queue)")
-    analyze.add_argument("--incremental", action="store_true",
-                         help="persist per-SCC summaries in the "
-                              "lowering cache and re-solve only "
-                              "call-graph SCCs whose bodies or "
-                              "transitive callees changed (identical "
-                              "solutions and digests)")
+    _add_solve_flags(analyze)
     _add_run_flags(analyze)
 
     dump = sub.add_parser("dump", help="print the lowered VDG")
@@ -140,15 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("id", choices=list(EXPERIMENT_IDS) + ["all"])
     experiment.add_argument("--markdown", action="store_true",
                             help="emit GitHub-flavored markdown tables")
-    experiment.add_argument("--jobs", type=int, default=1, metavar="N",
-                            help="fan suite analyses across N worker "
-                                 "processes (default: 1, in-process)")
-    experiment.add_argument("--no-cache", action="store_true",
-                            help="skip the persistent lowering cache")
-    experiment.add_argument("--schedule", default="batched",
-                            choices=list(SCHEDULES),
-                            help="worklist schedule for the suite "
-                                 "analyses (default: batched)")
+    _add_solve_flags(experiment, incremental=False)
     _add_run_flags(experiment)
 
     explain = sub.add_parser(
@@ -178,19 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="analysis flavor the checkers consume "
                             "(default: insensitive; 'all' runs every "
                             "flavor for side-by-side counts)")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan programs across N worker processes "
-                            "(default: 1, in-process)")
-    check.add_argument("--schedule", default="batched",
-                       choices=list(SCHEDULES),
-                       help="worklist schedule for the underlying "
-                            "analyses (default: batched)")
-    check.add_argument("--no-cache", action="store_true",
-                       help="skip the persistent lowering cache")
-    check.add_argument("--incremental", action="store_true",
-                       help="reuse persisted per-SCC summaries from "
-                            "the lowering cache (same findings and "
-                            "digests; summary counters in telemetry)")
+    _add_solve_flags(check)
     check.add_argument("--witness", action="store_true",
                        help="attach a derivation witness to each "
                             "finding with evidence (text/json formats)")
@@ -222,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "check' key or unique substring; implies "
                            "hazard-model lowering)")
     slice_p.add_argument("--direction", default="backward",
-                         choices=["backward", "forward"],
+                         choices=list(DIRECTIONS),
                          help="slice direction (default: backward)")
     slice_p.add_argument("--flavor", default="insensitive",
                          choices=["insensitive", "sensitive",
@@ -233,18 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["text", "json", "dot"],
                          help="output format (default: text; dot "
                               "emits Graphviz)")
-    slice_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="fan programs across N worker processes "
-                              "(default: 1, in-process)")
-    slice_p.add_argument("--schedule", default="batched",
-                         choices=list(SCHEDULES),
-                         help="worklist schedule for the underlying "
-                              "analysis (default: batched)")
-    slice_p.add_argument("--no-cache", action="store_true",
-                         help="skip the persistent lowering cache")
-    slice_p.add_argument("--incremental", action="store_true",
-                         help="reuse persisted per-SCC summaries from "
-                              "the lowering cache")
+    _add_solve_flags(slice_p)
     _add_run_flags(slice_p)
 
     serve = sub.add_parser(
@@ -274,13 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="request_memory_mb", metavar="MB",
                        help="per-request worker address-space budget "
                             "(default: 0 = off)")
-    serve.add_argument("--schedule", default="batched",
-                       choices=list(SCHEDULES),
-                       help="default worklist schedule (default: "
-                            "batched; requests may override)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="skip the persistent lowering/summary "
-                            "caches (every request solves cold)")
+    _add_solve_flags(serve, jobs=False, incremental=False)
     serve.add_argument("--no-incremental", action="store_true",
                        help="disable SCC-summary replay for warm "
                             "requests (always re-solve)")
@@ -336,63 +313,45 @@ _FLAVOR_LABELS = {"insensitive": "context-insensitive",
                   "flowinsensitive": "flow-insensitive"}
 
 
+#: ``--sensitivity`` → the flavors an analyze request runs.
+_SENSITIVITY_FLAVORS = {"insensitive": ("insensitive",),
+                        "sensitive": ("sensitive",),
+                        "both": ("insensitive", "sensitive"),
+                        "flowinsensitive": ("flowinsensitive",)}
+
+
+def _run(args, kind: str, targets, **fields):
+    """One ``kind`` request per target at the shared flags' settings,
+    through the runner's one sweep driver."""
+    from .runner import Request, run
+
+    return run([Request.build(kind, target, schedule=args.schedule,
+                              cache=not args.no_cache,
+                              incremental=args.incremental, **fields)
+                for target in targets],
+               jobs=args.jobs, fail_fast=args.fail_fast)
+
+
 def _cmd_analyze(args) -> int:
-    cache = not args.no_cache
-    if args.jobs > 1 and len(args.file) > 1:
-        return _analyze_parallel(args, cache)
-    from .analysis.insensitive import analyze_insensitive
-    from .analysis.sensitive import analyze_sensitive
-    from .frontend.pipeline import lower_file, lower_files
-    from .telemetry import peak_rss_kb
-    rss_baseline = peak_rss_kb()
-    if len(args.file) == 1:
-        program = lower_file(args.file[0], cache=cache)
-    else:
-        program = lower_files(args.file, cache=cache)
-    for warning in program.extras.get("warnings", ()):
-        print(f"warning: {warning}", file=sys.stderr)
-
-    if args.sensitivity == "flowinsensitive":
-        if args.incremental:
-            from .analysis.incremental import analyze_incremental
-            result = analyze_incremental(
-                program, ("flowinsensitive",), cache=cache,
-                schedule=args.schedule)["flowinsensitive"]
-        else:
-            from .analysis.flowinsensitive import analyze_flowinsensitive
-            result = analyze_flowinsensitive(program,
-                                             schedule=args.schedule)
-        results = {"flowinsensitive": result}
-        _report_program(program, results, args)
-        _write_telemetry(args.telemetry,
-                         _telemetry_for(program.name, results,
-                                        rss_baseline=rss_baseline))
-        return 0
-
-    results = {}
-    cs = None
-    if args.incremental:
-        from .analysis.incremental import analyze_incremental
-        want = (("insensitive",) if args.sensitivity == "insensitive"
-                else ("insensitive", "sensitive"))
-        solved = analyze_incremental(program, want, cache=cache,
-                                     schedule=args.schedule)
-        ci = solved["insensitive"]
-        cs = solved.get("sensitive")
-    else:
-        ci = analyze_insensitive(program, schedule=args.schedule)
-    if args.sensitivity in ("insensitive", "both"):
-        results["insensitive"] = ci
-    if args.sensitivity in ("sensitive", "both"):
-        if cs is None:
-            cs = analyze_sensitive(program, ci_result=ci,
-                                   schedule=args.schedule)
-        results["sensitive"] = cs
-    _report_program(program, results, args)
-    _write_telemetry(args.telemetry,
-                     _telemetry_for(program.name, results, args.schedule,
-                                    rss_baseline=rss_baseline))
-    return 0
+    """One linked program at ``--jobs 1``; at ``--jobs N`` each file is
+    its own program, analyzed in a worker.  Failures are isolated per
+    request (unless ``--fail-fast``): a file whose worker raises or
+    dies is reported on stderr — and as a ``kind="error"`` telemetry
+    record — while the rest complete."""
+    targets = ([(path,) for path in args.file] if args.jobs > 1
+               else [args.file])
+    report = _run(args, "analyze", targets,
+                  flavors=_SENSITIVITY_FLAVORS[args.sensitivity])
+    for outcome in report.outcomes:
+        if not outcome.ok:
+            print(f"error: {outcome.error}", file=sys.stderr)
+            continue
+        program = next(iter(outcome.results.values())).program
+        for warning in program.extras.get("warnings", ()):
+            print(f"warning: {warning}", file=sys.stderr)
+        _report_program(program, outcome.results, args)
+    _write_telemetry(args.telemetry, report.records)
+    return 0 if report.ok else 1
 
 
 def _report_program(program, results, args) -> None:
@@ -481,56 +440,6 @@ def _program_payload(program, results, args, compare=False) -> dict:
             "indirect_ops_identical": report.indirect_ops_identical,
         }
     return doc
-
-
-def _telemetry_for(name, results, schedule="batched", rss_baseline=None):
-    """Records for an in-process (single file, no pool) analyze run.
-
-    These measure the CLI process itself, so they carry the same
-    ``rss_scope="process"`` / ``rss_delta_kb`` annotation the runner's
-    inline path attaches — raw ``peak_rss_kb`` here includes the
-    whole CLI startup, not just the analysis.
-    """
-    from .telemetry import result_records
-
-    records = result_records(name, results, schedule)
-    for record in records:
-        peak = record.get("peak_rss_kb")
-        record["rss_scope"] = "process"
-        record["rss_delta_kb"] = (None if peak is None
-                                  or rss_baseline is None
-                                  else max(0, peak - rss_baseline))
-    return records
-
-
-def _analyze_parallel(args, cache) -> int:
-    """--jobs > 1: each file is its own program, analyzed in a worker.
-
-    Failures are isolated per file (unless ``--fail-fast``): a file
-    whose worker raises or dies is reported on stderr — and as a
-    ``kind="error"`` telemetry record — while the rest complete.
-    """
-    from .runner import run_files_report
-
-    if args.sensitivity == "flowinsensitive":
-        flavors = ("flowinsensitive",)
-    elif args.sensitivity == "both":
-        flavors = ("insensitive", "sensitive")
-    else:
-        flavors = (args.sensitivity,)
-    report = run_files_report(args.file, flavors=flavors, jobs=args.jobs,
-                              cache=cache, fail_fast=args.fail_fast,
-                              schedule=args.schedule,
-                              incremental=args.incremental)
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            print(f"error: {outcome.error}", file=sys.stderr)
-            continue
-        results = outcome.results
-        program = next(iter(results.values())).program
-        _report_program(program, results, args)
-    _write_telemetry(args.telemetry, report.records)
-    return 0 if report.ok else 1
 
 
 def _print_result(label: str, result, args) -> None:
@@ -676,35 +585,34 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+def _targets(given: List[str]) -> list:
+    """Request targets for ``check``/``slice`` positionals: the suite
+    names, then every other argument as one source file each; none at
+    all means the whole suite."""
+    from .suite.registry import PROGRAM_NAMES
+
+    names = [name for name in given if name in PROGRAM_NAMES]
+    paths = [(path,) for path in given if path not in PROGRAM_NAMES]
+    return names + paths or list(PROGRAM_NAMES)
+
+
 def _cmd_check(args) -> int:
     import json as _json
 
     from .analysis.checkers import findings_digest
-    from .runner import run_check_report
-    from .suite.registry import PROGRAM_NAMES
+    from .runner import FLAVORS
 
-    if args.flavor == "all":
-        flavors = ("insensitive", "sensitive", "flowinsensitive")
-    else:
-        flavors = (args.flavor,)
+    flavors = FLAVORS if args.flavor == "all" else (args.flavor,)
     checkers = None
     if args.checkers is not None:
         checkers = [c.strip() for c in args.checkers.split(",")
                     if c.strip()]
-    names: List[str] = []
-    paths: List[str] = []
-    for target in args.targets:
-        (names if target in PROGRAM_NAMES else paths).append(target)
     if args.slice_witness:
         witness = "slice+deriv" if args.witness else "slice"
     else:
         witness = args.witness
-    report = run_check_report(
-        names=names or (None if not paths else []),
-        paths=paths or None, flavors=flavors, checkers=checkers,
-        jobs=args.jobs, schedule=args.schedule, cache=not args.no_cache,
-        witness=witness, fail_fast=args.fail_fast,
-        incremental=args.incremental)
+    report = _run(args, "check", _targets(args.targets), flavors=flavors,
+                  checkers=checkers, witness=witness)
 
     ordered = []  # (program, finding) in task/flavor/finding order
     for outcome in report.outcomes:
@@ -760,20 +668,9 @@ def _cmd_check(args) -> int:
 def _cmd_slice(args) -> int:
     import json as _json
 
-    from .runner import run_slice_report
-    from .suite.registry import PROGRAM_NAMES
-
-    names: List[str] = []
-    paths: List[str] = []
-    for target in args.targets:
-        (names if target in PROGRAM_NAMES else paths).append(target)
-    report = run_slice_report(
-        names=names or (None if not paths else []),
-        paths=paths or None, flavor=args.flavor,
-        criterion=args.criterion, from_finding=args.from_finding,
-        direction=args.direction, jobs=args.jobs,
-        schedule=args.schedule, cache=not args.no_cache,
-        fail_fast=args.fail_fast, incremental=args.incremental)
+    report = _run(args, "slice", _targets(args.targets),
+                  flavors=(args.flavor,), criterion=args.criterion,
+                  finding=args.from_finding, direction=args.direction)
 
     payloads = []
     for outcome in report.outcomes:

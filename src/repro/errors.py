@@ -65,3 +65,9 @@ class AnalysisError(ReproError):
 
 class SuiteError(ReproError):
     """A named benchmark program could not be located or loaded."""
+
+
+class RequestError(ReproError):
+    """A request that cannot run as given: an unknown flavor, schedule,
+    checker id or slice direction, or a malformed daemon request body.
+    The daemon answers it with HTTP 400."""

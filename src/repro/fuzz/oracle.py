@@ -482,7 +482,7 @@ def deep_checks(programs: Sequence[Tuple[str, str]],
     when its lowering is replayed through a cache miss then a cache
     hit.
     """
-    from ..runner import run_files_report
+    from ..runner import Request, run
 
     violations: List[Violation] = []
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
@@ -494,13 +494,14 @@ def deep_checks(programs: Sequence[Tuple[str, str]],
             paths.append(path)
 
         flavors = ("insensitive", "sensitive")
-        inline = run_files_report(paths, flavors=flavors, jobs=1)
+        requests = [Request.build("analyze", (path,), flavors=flavors,
+                                  cache=False) for path in paths]
+        inline = run(requests, jobs=1)
         # force_pool: the runner folds tiny sweeps back into the
         # calling process for speed, which would silently turn this
         # leg into a second inline run — here the process boundary
         # *is* the thing under test.
-        pooled = run_files_report(paths, flavors=flavors, jobs=jobs,
-                                  force_pool=True)
+        pooled = run(requests, jobs=jobs, force_pool=True)
         for one, two in zip(inline.outcomes, pooled.outcomes):
             if not one.ok or not two.ok:
                 detail = one.error or two.error

@@ -41,9 +41,9 @@ class SuiteRunner:
     """Loads and analyzes suite programs once, caching everything.
 
     ``jobs`` > 1 makes the first access :meth:`prime` the whole suite
-    through :func:`repro.runner.run_suite_report`, fanning program
-    analyses across worker processes; later accesses hit the in-memory
-    cache.  ``cache`` is the persistent lowering cache switch.
+    through :func:`repro.runner.run`, fanning program analyses across
+    worker processes; later accesses hit the in-memory cache.
+    ``cache`` is the persistent lowering cache switch.
 
     Failures are isolated: with ``fail_fast=False`` (default) a
     program whose worker raises or dies is recorded in :attr:`errors`
@@ -85,12 +85,13 @@ class SuiteRunner:
         if self._primed:
             return
         self._primed = True
-        from ..runner import run_suite_report
+        from ..runner import Request, run
 
-        report = run_suite_report(names=self.names, jobs=self.jobs,
-                                  cache=self.cache,
-                                  fail_fast=self.fail_fast,
-                                  schedule=self.schedule)
+        report = run([Request.build(
+            "analyze", name, flavors=("insensitive", "sensitive"),
+            schedule=self.schedule, cache=self.cache)
+            for name in self.names], jobs=self.jobs,
+            fail_fast=self.fail_fast)
         self.errors = report.errors
         self._records = report.records
         for name, by_flavor in report.results.items():
@@ -463,17 +464,15 @@ def checkers_rows(runner: SuiteRunner):
     sensitivity changed *nothing a checker user would see*; the FI
     column shows what flow-insensitivity would cost.  The programs are
     re-lowered under the hazard model (``<null>``/``<uninit>`` cells),
-    so this experiment drives :func:`repro.runner.run_check_report`
-    directly rather than reusing the runner's cached (hazard-free)
-    results.
+    so this experiment runs its own ``check`` requests rather than
+    reusing the runner's cached (hazard-free) results.
     """
     from ..analysis.checkers import CHECKER_IDS, count_by_checker
-    from ..runner import run_check_report
+    from ..runner import FLAVORS, Request, run
 
-    flavors = ("insensitive", "sensitive", "flowinsensitive")
-    report = run_check_report(
-        names=runner.names, flavors=flavors, jobs=runner.jobs,
-        schedule=runner.schedule, cache=runner.cache,
+    report = run([Request.build(
+        "check", name, flavors=FLAVORS, schedule=runner.schedule,
+        cache=runner.cache) for name in runner.names], jobs=runner.jobs,
         fail_fast=runner.fail_fast)
     runner.errors.extend(report.errors)
 

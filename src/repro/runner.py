@@ -1,4 +1,16 @@
-"""Fault-isolated parallel analysis driver.
+"""One request path, fault-isolated.
+
+Every analysis the CLI, the suite sweeps and the serve daemon run is a
+:class:`Request`: the kind (``analyze``, ``check`` or ``slice``), the
+target, the flavors, the schedule, the cache and incremental settings,
+and the kind's own fields.  :meth:`Request.build` validates a request
+where it is made, so every caller rejects a bad flavor, schedule,
+checker id or slice direction with the same :class:`RequestError`.
+:func:`execute` is the one function that runs a request: :func:`load`
+lowers the target, :func:`_analyze_program` solves it, and the kind's
+client turns the results into a :class:`TaskOutcome`.  :func:`run` is
+the one sweep driver; the daemon's long-lived :class:`WorkerPool` runs
+one request at a time.  Both hand every pool task to :func:`_guarded`.
 
 The 13 suite programs (and independent user files) are embarrassingly
 parallel: each worker lowers one program — through the persistent
@@ -15,24 +27,23 @@ reaper, segfault in a C extension, ``os._exit``) surfaces as a bare
 ``BrokenProcessPool`` with no hint which program died.  This driver
 instead:
 
-* submits one future per task and drains them with ``as_completed``;
+* submits one future per request and drains them as they complete;
 * catches exceptions *inside* the worker, shipping back a structured
   :class:`TaskOutcome` (name, results-or-error, telemetry records), so
   an analysis failure on one program is just that task's outcome;
 * on ``BrokenProcessPool`` — a hard worker death poisons every pending
   future in the pool, not just the culprit's — re-runs each unresolved
-  task in its own fresh single-worker pool, so survivors complete and
-  the task that kills its pool *again* is identified by name.
+  request in its own fresh single-worker pool, so survivors complete
+  and the request that kills its pool *again* is identified by name.
 
 Every outcome carries telemetry records (see :mod:`repro.telemetry`):
-one ``kind="analysis"`` record per flavor, or one ``kind="error"``
-record naming the failed task, ready for ``--telemetry`` JSON-lines
-output.
+one record per flavor, or one ``kind="error"`` record naming the
+failed target, ready for ``--telemetry`` JSON-lines output.
 
-``jobs=1`` (or a single task) runs inline in the calling process with
-no executor, keeping the driver usable where fork is unavailable and
-keeping tracebacks simple.  Inline runs honor ``fail_fast`` too:
-``fail_fast=False`` (the default) converts per-task exceptions into
+``jobs=1`` (or a single request) runs inline in the calling process
+with no executor, keeping the driver usable where fork is unavailable
+and keeping tracebacks simple.  Inline runs honor ``fail_fast`` too:
+``fail_fast=False`` (the default) converts per-request exceptions into
 error outcomes; ``fail_fast=True`` lets the first one propagate.
 
 For tests, the hook ``REPRO_FAULT_INJECT="<name>=exit"`` (or
@@ -43,12 +54,12 @@ an env var survives both fork and spawn, unlike a monkeypatch.
 from __future__ import annotations
 
 import os
-import traceback
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
+from .choices import DIRECTIONS, SCHEDULES
 from .cpus import available_cpus
-from .errors import ReproError
+from .errors import AnalysisError, ReproError, RequestError
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -65,13 +76,13 @@ FLAVORS = ("insensitive", "sensitive", "flowinsensitive")
 #: by commas.
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 
-#: Sweeps at or below this many tasks run inline even when ``jobs > 1``:
-#: forking an executor, importing the package in each worker, and
-#: pickling results back costs more wall-clock than analyzing a handful
-#: of programs does, which made tiny parallel sweeps *slower* than the
-#: serial baseline.  Fault injection (tests) and ``force_pool`` callers
-#: (the fuzz oracle's process-boundary cross-check) still get real
-#: worker processes.
+#: Sweeps at or below this many requests run inline even when
+#: ``jobs > 1``: forking an executor, importing the package in each
+#: worker, and pickling results back costs more wall-clock than
+#: analyzing a handful of programs does, which made tiny parallel
+#: sweeps *slower* than the serial baseline.  Fault injection (tests)
+#: and ``force_pool`` callers (the fuzz oracle's process-boundary
+#: cross-check) still get real worker processes.
 INLINE_TASK_THRESHOLD = 4
 
 
@@ -83,21 +94,111 @@ def default_jobs() -> int:
     return available_cpus()
 
 
-def _check_flavors(flavors: Sequence[str]) -> Tuple[str, ...]:
-    for flavor in flavors:
-        if flavor not in FLAVORS:
-            raise ReproError(
-                f"unknown analysis flavor {flavor!r}; expected one of "
-                f"{', '.join(FLAVORS)}")
-    return tuple(flavors)
+# -- requests --------------------------------------------------------------
+
+
+class Request(NamedTuple):
+    """One unit of work: immutable, picklable and hashable.
+
+    ``target`` is a suite program name (a ``str``) or a tuple of source
+    paths, lowered as one linked program.  Make requests with
+    :meth:`build`, which validates them; ``_replace`` derives keys
+    from a built request without validating again.
+    """
+
+    #: ``analyze``, ``check`` or ``slice``: the client :func:`execute`
+    #: runs after the solve.
+    kind: str
+    target: Union[str, Tuple[str, ...]]
+    flavors: Tuple[str, ...] = ("insensitive",)
+    schedule: str = "batched"
+    #: Lowering/summary cache: ``True`` (default directory), a
+    #: directory, or ``False``/``None`` for off.
+    cache: object = True
+    #: Replay persisted per-SCC summaries (same solutions and digests).
+    incremental: bool = False
+    #: check: checker ids; ``None`` runs every registered checker and
+    #: an empty selection runs none.
+    checkers: Optional[Tuple[str, ...]] = None
+    #: check: ``False``/``True`` (derivation witnesses) or ``"slice"``
+    #: / ``"slice+deriv"`` (each finding's backward slice, with
+    #: derivations too for the latter).
+    witness: object = False
+    #: slice: a ``file:line`` criterion or a check finding key (exactly
+    #: one), and the direction to walk.
+    criterion: Optional[str] = None
+    finding: Optional[str] = None
+    direction: str = "backward"
+    #: The outcome carries only the JSON-safe ``payload`` (and, for a
+    #: check, the findings ``digests``): programs, solutions and
+    #: finding lists stay where they were computed.
+    payload_only: bool = False
+
+    @classmethod
+    def build(cls, kind: str, target, **fields) -> Request:
+        """A validated request, its flavors in run order.
+
+        Raises :class:`RequestError` for an unknown flavor, schedule,
+        checker id or slice direction, and for a slice without exactly
+        one of ``criterion`` and ``finding``.
+        """
+        if not isinstance(target, str):
+            target = tuple(str(path) for path in target)
+        request = cls(kind, target, **fields)
+        unknown = [f for f in request.flavors if f not in FLAVORS]
+        if unknown or not request.flavors:
+            what = (f"unknown analysis flavor {unknown[0]!r}" if unknown
+                    else "no analysis flavor")
+            raise RequestError(f"{what}; flavors must be a non-empty "
+                               f"subset of {', '.join(FLAVORS)}")
+        if request.schedule not in SCHEDULES:
+            raise RequestError(
+                f"unknown schedule {request.schedule!r}; expected one of "
+                f"{', '.join(SCHEDULES)}")
+        checkers = request.checkers
+        if checkers is not None:
+            from .analysis.checkers import REGISTRY
+
+            checkers = tuple(checkers)
+            try:
+                REGISTRY.get(checkers)
+            except AnalysisError as exc:
+                raise RequestError(str(exc)) from None
+        if kind == "slice":
+            if request.direction not in DIRECTIONS:
+                raise RequestError(
+                    f"unknown slice direction {request.direction!r}; "
+                    f"expected one of {', '.join(DIRECTIONS)}")
+            if (request.criterion is None) == (request.finding is None):
+                raise RequestError(
+                    "provide exactly one of 'criterion' (file:line) and "
+                    "'finding' (a check finding key)")
+        return request._replace(
+            flavors=tuple(f for f in FLAVORS if f in request.flavors),
+            checkers=checkers)
+
+    @property
+    def name(self) -> str:
+        """The target as given: the suite name, or the source paths
+        joined by ``+``.  Telemetry records, errors and fault
+        injection name the target by it."""
+        if isinstance(self.target, str):
+            return self.target
+        return "+".join(self.target)
+
+    @property
+    def hazard_model(self) -> bool:
+        """Whether the target lowers under the hazard model: checks do,
+        and so do slices keyed on a finding (the model the finding was
+        reported against, so its node exists in the graph)."""
+        return self.kind == "check" or self.finding is not None
 
 
 # -- outcome containers ----------------------------------------------------
 
 
-@dataclass
-class TaskError:
-    """A failed task: which program, and how it failed."""
+class TaskError(NamedTuple):
+    """A failed request: which target, and how it failed."""
 
     name: str
     #: Exception class name, or ``"WorkerDied"`` for a hard kill.
@@ -109,25 +210,22 @@ class TaskError:
         return f"{self.name}: {self.kind}: {self.message}"
 
 
-@dataclass
-class TaskOutcome:
-    """One task's result: analysis results *or* an error, plus the
+class TaskOutcome(NamedTuple):
+    """One request's result: analysis results *or* an error, plus the
     telemetry records describing whichever happened."""
 
     name: str
     results: Optional[Dict[str, AnalysisResult]] = None
     error: Optional[TaskError] = None
-    records: List[dict] = field(default_factory=list)
-    #: Checker output (``repro check`` tasks only): flavor → findings.
-    #: Findings are plain-string records, so a check outcome ships
-    #: without pickling programs or solutions back to the parent.
+    records: Sequence[dict] = ()
+    #: Checks: flavor → findings.  Findings are plain-string records,
+    #: so a check outcome ships without pickling programs or solutions
+    #: back to the parent.
     findings: Optional[Dict[str, list]] = None
-    #: Digest-only check tasks: flavor → findings digest.  The full
-    #: finding lists never cross the process boundary — a digest plus
-    #: the per-record counts is all the parent asked for.
+    #: ``payload_only`` checks: flavor → findings digest.
     digests: Optional[Dict[str, str]] = None
-    #: Serve tasks: the JSON-safe response payload built in the worker
-    #: (digests, pair census, counters) — solutions stay worker-side.
+    #: ``payload_only`` requests and slices: the JSON-safe response
+    #: payload built where the request ran.
     payload: Optional[dict] = None
 
     @property
@@ -135,15 +233,14 @@ class TaskOutcome:
         return self.error is None
 
 
-@dataclass
-class RunReport:
-    """A whole sweep's outcomes, in task submission order."""
+class RunReport(NamedTuple):
+    """A whole sweep's outcomes, in request order."""
 
-    outcomes: List[TaskOutcome] = field(default_factory=list)
+    outcomes: List[TaskOutcome]
 
     @property
     def results(self) -> Dict[str, Dict[str, AnalysisResult]]:
-        """Successful tasks only: ``{name: {flavor: result}}``."""
+        """Successful requests only: ``{name: {flavor: result}}``."""
         return {o.name: o.results for o in self.outcomes if o.ok}
 
     @property
@@ -152,7 +249,7 @@ class RunReport:
 
     @property
     def records(self) -> List[dict]:
-        """All telemetry records, flattened in task order."""
+        """All telemetry records, flattened in request order."""
         return [rec for o in self.outcomes for rec in o.records]
 
     @property
@@ -160,7 +257,7 @@ class RunReport:
         return not self.errors
 
 
-# -- workers ---------------------------------------------------------------
+# -- execution -------------------------------------------------------------
 
 
 def _maybe_inject_fault(name: str) -> None:
@@ -178,6 +275,26 @@ def _maybe_inject_fault(name: str) -> None:
             os._exit(3)
         if action == "raise":
             raise ReproError(f"injected fault for {name!r}")
+
+
+def load(request: Request):
+    """The request's target, lowered to a :class:`~repro.ir.graph.Program`.
+
+    A suite name loads that suite source; source paths lower as one
+    linked program.  The hazard lowering (see
+    :attr:`Request.hazard_model`) is a distinct cache key, so check
+    runs and plain analysis runs never poison each other's cache, and
+    ``file:line`` slices share ``repro analyze``'s lowering.
+    """
+    options = {"cache": request.cache,
+               "hazard_model": request.hazard_model}
+    if isinstance(request.target, str):
+        from .suite.registry import load_program
+        return load_program(request.target, **options)
+    from .frontend.pipeline import lower_file, lower_files
+    if len(request.target) == 1:
+        return lower_file(request.target[0], **options)
+    return lower_files(request.target, **options)
 
 
 def _analyze_program(program, flavors: Tuple[str, ...], schedule: str,
@@ -205,72 +322,48 @@ def _analyze_program(program, flavors: Tuple[str, ...], schedule: str,
     return results
 
 
-def _suite_worker(task) -> TaskOutcome:
-    """Module-level so ProcessPoolExecutor can pickle the callable."""
-    name, flavors, schedule, cache, incremental = task
-    from .suite.registry import load_program
+def execute(request: Request) -> TaskOutcome:
+    """Run one request in this process: load, solve, then the kind's
+    client.  Raises whatever fails; :func:`run` and :func:`_guarded`
+    turn that into an error outcome."""
+    _maybe_inject_fault(request.name)
+    program = load(request)
+    results = _analyze_program(program, request.flavors, request.schedule,
+                               request.incremental, request.cache)
+    if request.kind == "check":
+        return _check(request, program, results)
+    if request.kind == "slice":
+        return _slice(request, program, results[request.flavors[0]])
     from .telemetry import result_records
 
-    _maybe_inject_fault(name)
-    program = load_program(name, cache=cache)
-    results = _analyze_program(program, flavors, schedule, incremental,
-                               cache)
-    return TaskOutcome(name=name, results=results,
-                       records=result_records(name, results, schedule))
+    records = result_records(request.name, results, request.schedule)
+    if request.payload_only:
+        from .serve.payload import analysis_payload
+        return TaskOutcome(request.name, records=records,
+                           payload=analysis_payload(
+                               request.name, results, request.schedule))
+    return TaskOutcome(request.name, results=results, records=records)
 
 
-def _file_worker(task) -> TaskOutcome:
-    path, flavors, schedule, cache, incremental = task
-    from .frontend.pipeline import lower_file
-    from .telemetry import result_records
+def _check(request: Request, program, results) -> TaskOutcome:
+    """Run the checkers over every flavor's result.
 
-    name = str(path)
-    _maybe_inject_fault(name)
-    program = lower_file(path, cache=cache)
-    results = _analyze_program(program, flavors, schedule, incremental,
-                               cache)
-    return TaskOutcome(name=name, results=results,
-                       records=result_records(name, results, schedule))
-
-
-def _check_worker(task) -> TaskOutcome:
-    """Lower (hazard model on), analyze, and run checkers.
-
-    The outcome ships only findings and telemetry — never the program
-    or solutions — so a suite-wide check sweep's IPC cost is a few KB
-    per task.  The hazard lowering is a distinct cache key, so check
-    runs and plain analysis runs never poison each other's cache.
-
-    With ``digest_only`` set the finding lists stay worker-side too:
-    the outcome carries one digest per flavor (computed here, from the
-    same rendered findings the full path would ship) plus the usual
-    count-carrying records — for callers like the serve daemon that
-    compare or report digests and never look at a finding.
+    The outcome ships findings and telemetry — never the program or
+    solutions — so a suite-wide check sweep's IPC cost is a few KB per
+    program.  With ``payload_only`` the finding lists stay here too:
+    the outcome carries each flavor's findings digest (the one its
+    telemetry record holds) and the daemon's JSON payload.
     """
-    (name, is_suite, flavors, schedule, cache, checkers, witness,
-     incremental, digest_only) = task
     from time import perf_counter
 
     from .analysis.checkers import run_checkers
     from .telemetry import check_record
 
-    # ``witness`` is False/True (derivation witnesses) or the string
-    # "slice" / "slice+deriv": attach each finding's backward slice
-    # over the alias-aware dependence graph (with derivations too for
-    # the latter).  Witness text is excluded from keys and digests, so
-    # none of these change what digest_only callers compare.
-    slice_witness = witness in ("slice", "slice+deriv")
-    derivations = witness is True or witness == "slice+deriv"
-
-    _maybe_inject_fault(name)
-    if is_suite:
-        from .suite.registry import load_program
-        program = load_program(name, cache=cache, hazard_model=True)
-    else:
-        from .frontend.pipeline import lower_file
-        program = lower_file(name, cache=cache, hazard_model=True)
-    results = _analyze_program(program, flavors, schedule, incremental,
-                               cache)
+    # Witness text is excluded from keys and digests, so no witness
+    # setting changes what payload_only callers compare.
+    slice_witness = request.witness in ("slice", "slice+deriv")
+    derivations = (request.witness is True
+                   or request.witness == "slice+deriv")
     findings: Dict[str, list] = {}
     records: List[dict] = []
     # One lowering serves every flavor below — each record carries the
@@ -280,7 +373,7 @@ def _check_worker(task) -> TaskOutcome:
         table = result.solution.table
         before = table.decode_calls
         start = perf_counter()
-        found = run_checkers(result, checkers, witness=derivations)
+        found = run_checkers(result, request.checkers, witness=derivations)
         if slice_witness:
             from .analysis.slicing import attach_slice_witnesses
             attach_slice_witnesses(found, result)
@@ -294,119 +387,87 @@ def _check_worker(task) -> TaskOutcome:
             if value is not None:
                 dense[counter] = value
         records.append(check_record(
-            name, flavor, found, elapsed, schedule,
+            request.name, flavor, found, elapsed, request.schedule,
             dense=dense, cache=lowering_status))
-    if digest_only:
-        from .analysis.checkers import findings_digest
-        digests = {flavor: findings_digest(found)
-                   for flavor, found in findings.items()}
-        return TaskOutcome(name=name, records=records, digests=digests)
-    return TaskOutcome(name=name, records=records, findings=findings)
+    if not request.payload_only:
+        return TaskOutcome(request.name, records=records,
+                           findings=findings)
+    from .serve.payload import check_payload
+
+    digests = {record["flavor"]: record["digest"] for record in records}
+    return TaskOutcome(request.name, records=records, digests=digests,
+                       payload=check_payload(request.name, digests,
+                                             records, request.schedule))
 
 
-def _serve_analyze_worker(task) -> TaskOutcome:
-    """Analyze one serve request, shipping back a JSON-safe payload.
-
-    Same lowering and analysis path as :func:`_suite_worker` /
-    :func:`_file_worker` — that shared path is what makes served
-    digests byte-equal to CLI runs — but the outcome carries only the
-    response payload (per-flavor solution digests, pair census,
-    counters) plus telemetry records.  Programs and solutions never
-    cross the pipe: a serve worker's IPC cost is a few KB per request
-    regardless of program size.
-    """
-    name, is_suite, flavors, schedule, cache, incremental = task
-    from .serve.payload import analysis_payload
-    from .telemetry import result_records
-
-    _maybe_inject_fault(name)
-    if is_suite:
-        from .suite.registry import load_program
-        program = load_program(name, cache=cache)
-    else:
-        from .frontend.pipeline import lower_file
-        program = lower_file(name, cache=cache)
-    results = _analyze_program(program, flavors, schedule, incremental,
-                               cache)
-    return TaskOutcome(name=name,
-                       records=result_records(name, results, schedule),
-                       payload=analysis_payload(name, results, schedule))
-
-
-def _slice_worker(task) -> TaskOutcome:
-    """Analyze one program and compute a dependence-graph slice.
-
-    The outcome ships a JSON-safe payload — the slice (node keys,
-    origins, edges, digest), the dependence graph's stats and digest,
-    and per-node labels for DOT rendering — plus one ``kind="slice"``
-    telemetry record.  Programs, solutions, and the graph itself stay
-    worker-side.
-
-    Finding-keyed slices (``from_finding``) lower under the hazard
-    model — the model the finding was reported against, so its node
-    exists in the graph; ``file:line`` criteria use the plain lowering
-    so slice digests line up with ``repro analyze`` results.
-    """
-    (name, is_suite, flavor, schedule, cache, criterion, from_finding,
-     direction, incremental) = task
-    from time import perf_counter
-
+def slice_of(request: Request, result):
+    """``(dependence graph, slice)`` for a slice request over the
+    solved result of its one flavor."""
     from .analysis.depgraph import build_depgraph
     from .analysis.slicing import (resolve_finding, slice_criterion,
                                    slice_for_finding)
-    from .telemetry import slice_record
 
-    _maybe_inject_fault(name)
-    hazard = from_finding is not None
-    if is_suite:
-        from .suite.registry import load_program
-        program = load_program(name, cache=cache, hazard_model=hazard)
-    else:
-        from .frontend.pipeline import lower_file
-        program = lower_file(name, cache=cache, hazard_model=hazard)
-    result = _analyze_program(program, (flavor,), schedule, incremental,
-                              cache)[flavor]
-    table = result.solution.table
-    before = table.decode_calls
-    start = perf_counter()
     graph = build_depgraph(result)
-    if from_finding is not None:
-        from .analysis.checkers import run_checkers
-        finding = resolve_finding(run_checkers(result), from_finding)
-        slice_result = slice_for_finding(graph, finding, direction)
-    else:
-        slice_result = slice_criterion(graph, criterion, direction)
-    elapsed = perf_counter() - start
+    if request.finding is None:
+        return graph, slice_criterion(graph, request.criterion,
+                                      request.direction)
+    from .analysis.checkers import run_checkers
+    finding = resolve_finding(run_checkers(result), request.finding)
+    return graph, slice_for_finding(graph, finding, request.direction)
 
-    slice_dict = slice_result.as_dict()
-    stats = graph.stats()
-    digest = graph.digest()
+
+def slice_payload(request: Request, graph, sliced, **extra) -> dict:
+    """The JSON-safe slice document: the slice (node keys, origins,
+    edges, digest), the graph's stats and digest, and labels for the
+    slice's nodes (for DOT rendering).  ``extra`` fields (the daemon's
+    ``tier``) follow the schedule."""
+    slice_dict = sliced.as_dict()
     members = set(slice_dict["nodes"])
-    payload = {
-        "program": name, "flavor": flavor, "schedule": schedule,
+    return {
+        "program": request.name, "flavor": request.flavors[0],
+        "schedule": request.schedule, **extra,
         "slice": slice_dict,
-        "graph": {"stats": stats, "digest": digest},
+        "graph": {"stats": graph.stats(), "digest": graph.digest()},
         "node_info": {key: {"function": fn, "kind": kind,
                             "origin": origin}
                       for key, (fn, kind, origin)
                       in sorted(graph.nodes.items())
                       if key in members},
     }
+
+
+def _slice(request: Request, program, result) -> TaskOutcome:
+    """Compute the slice; the outcome ships its payload and one
+    ``kind="slice"`` record, while programs, solutions and the graph
+    stay here."""
+    from time import perf_counter
+
+    from .telemetry import slice_record
+
+    table = result.solution.table
+    before = table.decode_calls
+    start = perf_counter()
+    graph, sliced = slice_of(request, result)
+    elapsed = perf_counter() - start
+    payload = slice_payload(request, graph, sliced)
     record = slice_record(
-        name, flavor, slice_dict, stats, digest, elapsed, schedule,
+        request.name, request.flavors[0], payload["slice"],
+        payload["graph"]["stats"], payload["graph"]["digest"], elapsed,
+        request.schedule,
         dense={"decode_calls_before": before,
                "decode_calls_after": table.decode_calls},
         cache=program.extras.get("cache", "off"))
-    return TaskOutcome(name=name, records=[record], payload=payload)
+    return TaskOutcome(request.name, records=[record], payload=payload)
 
 
-def _error_outcome(name: str, exc: BaseException,
-                   with_traceback: bool = True) -> TaskOutcome:
+def _error_outcome(name: str, exc: BaseException) -> TaskOutcome:
+    import traceback
+
     from .telemetry import error_record
 
     kind = type(exc).__name__
     message = str(exc) or kind
-    tb = (traceback.format_exc() if with_traceback else None)
+    tb = traceback.format_exc()
     return TaskOutcome(
         name=name,
         error=TaskError(name=name, kind=kind, message=message,
@@ -469,78 +530,49 @@ def _restore_request_rlimit(saved) -> None:
         pass
 
 
-def _guarded(worker, task) -> TaskOutcome:
-    """Run ``worker`` catching its exceptions into an error outcome.
+def _guarded(request: Request) -> TaskOutcome:
+    """Execute ``request`` catching its exceptions into an error outcome.
 
-    Runs *in the worker process*, so a raising task ships back one
-    structured outcome instead of poisoning the whole ``pool.map``.
-    ``BaseException`` is deliberate: a ``KeyboardInterrupt`` or
-    ``SystemExit`` inside one task should fail that task, not tear
-    down the sweep (a genuine parent-side Ctrl-C still interrupts the
-    parent's ``wait``).  The optional per-task memory cap (see
-    :data:`RLIMIT_ENV`) surfaces as a caught ``MemoryError`` here —
-    a budget-blown task fails structurally, its pool survives.
+    The one function every pool task runs, *in the worker process*, so
+    a raising request ships back one structured outcome instead of
+    poisoning the pool.  ``BaseException`` is deliberate: a
+    ``KeyboardInterrupt`` or ``SystemExit`` inside one task should fail
+    that task, not tear down the sweep (a genuine parent-side Ctrl-C
+    still interrupts the parent's ``wait``).  The optional per-task
+    memory cap (see :data:`RLIMIT_ENV`) surfaces as a caught
+    ``MemoryError`` here — a budget-blown task fails structurally, its
+    pool survives.
     """
-    name = str(task[0])
     saved = _apply_request_rlimit()
     try:
-        return worker(task)
+        return execute(request)
     except BaseException as exc:
-        return _error_outcome(name, exc)
+        return _error_outcome(request.name, exc)
     finally:
         _restore_request_rlimit(saved)
-
-
-# a top-level partial target: ProcessPoolExecutor needs picklables
-def _guarded_suite_worker(task) -> TaskOutcome:
-    return _guarded(_suite_worker, task)
-
-
-def _guarded_file_worker(task) -> TaskOutcome:
-    return _guarded(_file_worker, task)
-
-
-def _guarded_check_worker(task) -> TaskOutcome:
-    return _guarded(_check_worker, task)
-
-
-def _guarded_serve_analyze_worker(task) -> TaskOutcome:
-    return _guarded(_serve_analyze_worker, task)
-
-
-def _guarded_slice_worker(task) -> TaskOutcome:
-    return _guarded(_slice_worker, task)
-
-
-_GUARDED = {_suite_worker: _guarded_suite_worker,
-            _file_worker: _guarded_file_worker,
-            _check_worker: _guarded_check_worker,
-            _serve_analyze_worker: _guarded_serve_analyze_worker,
-            _slice_worker: _guarded_slice_worker}
 
 
 # -- engine ----------------------------------------------------------------
 
 
-def _run_isolated(worker, task) -> TaskOutcome:
-    """Re-run one task in its own fresh single-worker pool.
+def _run_isolated(request: Request) -> TaskOutcome:
+    """Re-run one request in its own fresh single-worker pool.
 
     Used after a ``BrokenProcessPool``: every pending future in the
-    broken pool failed, with no record of which task actually killed
-    its worker.  A private pool per survivor means a task that dies
+    broken pool failed, with no record of which request actually killed
+    its worker.  A private pool per survivor means a request that dies
     *again* breaks only its own pool — identifying the culprit by name
     — while innocent bystanders just complete.  (Re-running inline
-    would let an ``os._exit`` task kill the driver itself.)
+    would let an ``os._exit`` request kill the driver itself.)
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    guarded = _GUARDED.get(worker, worker)
     try:
         with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(guarded, task).result()
+            return pool.submit(_guarded, request).result()
     except BrokenProcessPool:
-        return _dead_worker_outcome(str(task[0]))
+        return _dead_worker_outcome(request.name)
 
 
 def _tag_rss_scope(outcome: TaskOutcome, scope: str,
@@ -549,13 +581,13 @@ def _tag_rss_scope(outcome: TaskOutcome, scope: str,
     ``peak_rss_kb`` actually describes.
 
     Worker-pool records measure a process that ran (approximately)
-    just that task, so ``rss_scope="worker"`` and the number stands on
-    its own.  Inline records measure the *parent* — its cumulative
-    peak includes every earlier task and the driver itself, so raw
+    just that request, so ``rss_scope="worker"`` and the number stands
+    on its own.  Inline records measure the *parent* — its cumulative
+    peak includes every earlier request and the driver itself, so raw
     ``peak_rss_kb`` grows monotonically along a sweep and was easy to
-    misread as per-task cost.  Those records get
+    misread as per-request cost.  Those records get
     ``rss_scope="process"`` plus ``rss_delta_kb``, the growth of the
-    process peak over the pre-task baseline (0 when the task fit
+    process peak over the pre-request baseline (0 when the request fit
     under the existing high-water mark — peak RSS never goes down).
     """
     for record in outcome.records:
@@ -570,17 +602,19 @@ def _tag_rss_scope(outcome: TaskOutcome, scope: str,
                 record["rss_delta_kb"] = max(0, peak - baseline_kb)
 
 
-def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
-              fail_fast: bool = False, force_pool: bool = False) -> RunReport:
-    """Run ``worker`` over ``tasks``, isolating per-task failures.
+def run(requests: Sequence[Request], jobs: Optional[int] = None,
+        fail_fast: bool = False, force_pool: bool = False) -> RunReport:
+    """Execute ``requests``, isolating per-request failures.
 
     Returns a :class:`RunReport` with one :class:`TaskOutcome` per
-    task, in submission order.  With ``fail_fast=False`` (default) a
-    failing task becomes an error outcome and the sweep continues;
+    request, in request order.  With ``fail_fast=False`` (default) a
+    failing request becomes an error outcome and the sweep continues;
     with ``fail_fast=True`` the first failure raises :class:`ReproError`
-    naming the task (completed outcomes are discarded, matching the
-    old ``pool.map`` contract).  ``force_pool=True`` guarantees worker
-    processes even for sweeps small enough to run inline.
+    naming the target (completed outcomes are discarded).  ``jobs``
+    defaults to the CPU count; ``jobs=1`` — or a sweep small enough
+    that executor setup would dominate — runs inline, and
+    ``force_pool=True`` guarantees worker processes for any sweep of
+    two or more requests.
     """
     # An unspecified job count is capped at the core count (more
     # workers only adds fork/IPC overhead for this CPU-bound
@@ -588,13 +622,12 @@ def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
     # the caller may want process isolation itself, not throughput.
     if jobs is None:
         jobs = default_jobs()
-    jobs = max(1, min(jobs, len(tasks))) if tasks else 1
-    guarded = _GUARDED.get(worker, worker)
+    jobs = max(1, min(jobs, len(requests))) if requests else 1
 
-    outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
+    outcomes: List[Optional[TaskOutcome]] = [None] * len(requests)
 
     if not force_pool and not os.environ.get(FAULT_INJECT_ENV) \
-            and len(tasks) <= INLINE_TASK_THRESHOLD:
+            and len(requests) <= INLINE_TASK_THRESHOLD:
         # Tiny sweep: executor setup would dominate; run it here.
         # (Fault-injection tests need real processes — an injected
         # os._exit would take the caller down with it.)
@@ -605,12 +638,12 @@ def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
         # process must interrupt the sweep, not become an "outcome".
         from .telemetry import peak_rss_kb
 
-        for index, task in enumerate(tasks):
+        for index, request in enumerate(requests):
             baseline = peak_rss_kb()
             try:
-                outcome = worker(task)
+                outcome = execute(request)
             except Exception as exc:
-                outcome = _error_outcome(str(task[0]), exc)
+                outcome = _error_outcome(request.name, exc)
             if not outcome.ok and fail_fast:
                 raise ReproError(f"task failed: {outcome.error}")
             _tag_rss_scope(outcome, "process", baseline)
@@ -623,8 +656,8 @@ def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
 
     pending_retry: List[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(guarded, task): index
-                   for index, task in enumerate(tasks)}
+        futures = {pool.submit(_guarded, request): index
+                   for index, request in enumerate(requests)}
         not_done = set(futures)
         broken = False
         while not_done:
@@ -655,10 +688,10 @@ def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
             pending_retry = [index for index, outcome
                              in enumerate(outcomes) if outcome is None]
 
-    # The broken pool told us nothing about *which* task killed it —
-    # every unresolved task gets a clean, isolated second chance.
+    # The broken pool told us nothing about *which* request killed it —
+    # every unresolved request gets a clean, isolated second chance.
     for index in pending_retry:
-        outcome = _run_isolated(worker, tasks[index])
+        outcome = _run_isolated(requests[index])
         if not outcome.ok and fail_fast:
             raise ReproError(f"task failed: {outcome.error}")
         _tag_rss_scope(outcome, "worker")
@@ -671,18 +704,19 @@ def run_tasks(worker, tasks: List[tuple], jobs: Optional[int] = None,
 
 
 class WorkerPool:
-    """A long-lived fault-isolated process pool for one-task-at-a-time
+    """A long-lived fault-isolated process pool for one-request-at-a-time
     submission.
 
-    :func:`run_tasks` builds (and tears down) a pool per sweep, which
-    is right for batch CLI runs and wrong for a daemon: serve requests
+    :func:`run` builds (and tears down) a pool per sweep, which is
+    right for batch CLI runs and wrong for a daemon: serve requests
     arrive one at a time over hours, and paying executor setup per
     request would swamp the work.  This pool persists across requests
     and applies the same fault contract as the sweep driver — worker
     exceptions come back as structured error outcomes, and a worker
     death (``BrokenProcessPool``) is contained by rebuilding the pool
-    and retrying the task once in isolation, so one poisonous request
-    can neither kill the daemon nor fail its innocent neighbors.
+    and retrying the request once in isolation, so one poisonous
+    request can neither kill the daemon nor fail its innocent
+    neighbors.
 
     Thread-safe: :meth:`run` may be called concurrently from the
     daemon's executor threads (``ProcessPoolExecutor`` submission is
@@ -713,20 +747,19 @@ class WorkerPool:
                 self._pool = None
         broken.shutdown(wait=False, cancel_futures=True)
 
-    def run(self, worker, task) -> TaskOutcome:
-        """Run one task to an outcome, blocking the calling thread."""
+    def run(self, request: Request) -> TaskOutcome:
+        """Run one request to an outcome, blocking the calling thread."""
         from concurrent.futures.process import BrokenProcessPool
 
-        guarded = _GUARDED.get(worker, worker)
         pool = self._executor()
         try:
-            outcome = pool.submit(guarded, task).result()
+            outcome = pool.submit(_guarded, request).result()
         except BrokenProcessPool:
-            # The death may have been this task's doing or a sibling's
-            # — give it one isolated retry, exactly like run_tasks.
+            # The death may have been this request's doing or a
+            # sibling's — give it one isolated retry, exactly like run.
             self.worker_deaths += 1
             self._discard_broken(pool)
-            outcome = _run_isolated(worker, task)
+            outcome = _run_isolated(request)
         _tag_rss_scope(outcome, "worker")
         return outcome
 
@@ -737,60 +770,7 @@ class WorkerPool:
             pool.shutdown(wait=False, cancel_futures=True)
 
 
-# -- public drivers --------------------------------------------------------
-
-
-def run_suite_report(names: Optional[Sequence[str]] = None,
-                     flavors: Sequence[str] = ("insensitive", "sensitive"),
-                     jobs: Optional[int] = None,
-                     schedule: str = "batched",
-                     cache: object = True,
-                     fail_fast: bool = False,
-                     force_pool: bool = False,
-                     incremental: bool = False,
-                     ) -> RunReport:
-    """Analyze suite programs across processes, fault-isolated.
-
-    Returns a :class:`RunReport`; ``report.results`` maps each
-    *successful* program to its ``{flavor: AnalysisResult}`` dict and
-    ``report.errors`` names each failed one.  ``jobs`` defaults to the
-    CPU count; ``jobs=1`` — or a sweep small enough that executor
-    setup would dominate — runs inline (``force_pool=True`` overrides).
-    ``cache`` controls the persistent lowering cache (on by default
-    for suite sources).
-    """
-    from .suite.registry import PROGRAM_NAMES
-
-    if names is None:
-        names = PROGRAM_NAMES
-    flavors = _check_flavors(flavors)
-    tasks = [(name, flavors, schedule, cache, incremental)
-             for name in names]
-    return run_tasks(_suite_worker, tasks, jobs, fail_fast=fail_fast,
-                     force_pool=force_pool)
-
-
-def run_files_report(paths: Sequence,
-                     flavors: Sequence[str] = ("insensitive",),
-                     jobs: Optional[int] = None,
-                     schedule: str = "batched",
-                     cache: object = None,
-                     fail_fast: bool = False,
-                     force_pool: bool = False,
-                     incremental: bool = False,
-                     ) -> RunReport:
-    """Analyze several C files as *independent* programs, in parallel.
-
-    Unlike :func:`repro.parse_files`, the files are not linked into
-    one program — each is lowered and analyzed on its own, which is
-    what a multi-file sweep (one program per file) wants.  Outcomes
-    come back in input order.
-    """
-    flavors = _check_flavors(flavors)
-    tasks = [(str(p), flavors, schedule, cache, incremental)
-             for p in paths]
-    return run_tasks(_file_worker, tasks, jobs, fail_fast=fail_fast,
-                     force_pool=force_pool)
+# -- the checker sweep's keyword entry point -------------------------------
 
 
 def run_check_report(names: Optional[Sequence[str]] = None,
@@ -806,121 +786,23 @@ def run_check_report(names: Optional[Sequence[str]] = None,
                      incremental: bool = False,
                      digest_only: bool = False,
                      ) -> RunReport:
-    """Run the bug checkers over suite programs and/or C files.
+    """Run the bug checkers over suite programs and/or C files: one
+    ``check`` request per target (the whole suite when neither
+    ``names`` nor ``paths`` is given) through :func:`run`.
 
-    Each task lowers its program under the hazard model (``<null>`` /
-    ``<uninit>`` summary cells), runs the requested analysis flavors,
-    and sweeps the selected checkers over each.  Outcomes carry
-    ``findings`` (flavor → finding list) and one ``kind="check"``
-    telemetry record per flavor; programs and solutions stay in the
-    workers.  ``checkers=None`` runs every registered checker;
-    checker names are validated here, before any worker forks.
-
-    ``witness`` is ``False``/``True`` (attach derivation witnesses) or
-    ``"slice"`` / ``"slice+deriv"`` — attach each finding's backward
-    dependence-graph slice (optionally alongside derivations).
-
-    ``digest_only=True`` is the fast path for callers that only
-    compare digests (the serve daemon, determinism cross-checks):
-    outcomes carry ``digests`` (flavor → findings digest) instead of
-    ``findings``, so finding lists are never pickled across the pool.
-    Per-flavor counts still arrive in the telemetry records, and the
-    checker sweep itself is identical — same decode-call footprint,
-    same digests.
+    Outcomes carry ``findings`` (flavor → finding list) and one
+    ``kind="check"`` telemetry record per flavor.  ``digest_only=True``
+    is the fast path for callers that only compare digests: outcomes
+    carry ``digests`` (flavor → findings digest) instead, so finding
+    lists are never pickled across the pool; the checker sweep itself
+    is identical.
     """
-    from .analysis.checkers import REGISTRY
-    from .suite.registry import PROGRAM_NAMES
-
-    REGISTRY.get(checkers)
-    flavors = _check_flavors(flavors)
-    checkers = tuple(checkers) if checkers is not None else None
-    tasks = []
     if paths is None and names is None:
+        from .suite.registry import PROGRAM_NAMES
         names = PROGRAM_NAMES
-    for name in names or ():
-        tasks.append((name, True, flavors, schedule, cache, checkers,
-                      witness, incremental, digest_only))
-    for path in paths or ():
-        tasks.append((str(path), False, flavors, schedule, cache,
-                      checkers, witness, incremental, digest_only))
-    return run_tasks(_check_worker, tasks, jobs, fail_fast=fail_fast,
-                     force_pool=force_pool)
-
-
-def run_slice_report(names: Optional[Sequence[str]] = None,
-                     paths: Optional[Sequence] = None,
-                     flavor: str = "insensitive",
-                     criterion: Optional[str] = None,
-                     from_finding: Optional[str] = None,
-                     direction: str = "backward",
-                     jobs: Optional[int] = None,
-                     schedule: str = "batched",
-                     cache: object = True,
-                     fail_fast: bool = False,
-                     force_pool: bool = False,
-                     incremental: bool = False,
-                     ) -> RunReport:
-    """Compute dependence-graph slices, one task per program.
-
-    Exactly one of ``criterion`` (``file:line``) / ``from_finding``
-    (a ``repro check`` finding key or unique substring) selects the
-    slice roots; every task applies the same criterion, so a
-    multi-program sweep answers "who else touches this line".
-    Outcomes carry a JSON-safe ``payload`` (slice, graph stats and
-    digest, node labels) and one ``kind="slice"`` record.
-    """
-    from .analysis.slicing import DIRECTIONS
-    from .suite.registry import PROGRAM_NAMES
-
-    if (criterion is None) == (from_finding is None):
-        raise ReproError(
-            "exactly one of 'criterion' and 'from_finding' must be "
-            "given")
-    if direction not in DIRECTIONS:
-        raise ReproError(
-            f"unknown slice direction {direction!r}; expected one of "
-            f"{', '.join(DIRECTIONS)}")
-    _check_flavors((flavor,))
-    tasks = []
-    if paths is None and names is None:
-        names = PROGRAM_NAMES
-    for name in names or ():
-        tasks.append((name, True, flavor, schedule, cache, criterion,
-                      from_finding, direction, incremental))
-    for path in paths or ():
-        tasks.append((str(path), False, flavor, schedule, cache,
-                      criterion, from_finding, direction, incremental))
-    return run_tasks(_slice_worker, tasks, jobs, fail_fast=fail_fast,
-                     force_pool=force_pool)
-
-
-def run_suite(names: Optional[Sequence[str]] = None,
-              flavors: Sequence[str] = ("insensitive", "sensitive"),
-              jobs: Optional[int] = None,
-              schedule: str = "batched",
-              cache: object = True,
-              ) -> Dict[str, Dict[str, AnalysisResult]]:
-    """Back-compat wrapper over :func:`run_suite_report`.
-
-    Returns ``{program name: {flavor: AnalysisResult}}`` and raises on
-    the first failure (the pre-fault-isolation contract).
-    """
-    report = run_suite_report(names, flavors, jobs, schedule, cache,
-                              fail_fast=True)
-    return report.results
-
-
-def run_files(paths: Sequence,
-              flavors: Sequence[str] = ("insensitive",),
-              jobs: Optional[int] = None,
-              schedule: str = "batched",
-              cache: object = None,
-              ) -> List[Tuple[str, Dict[str, AnalysisResult]]]:
-    """Back-compat wrapper over :func:`run_files_report`.
-
-    Returns ``[(path, {flavor: AnalysisResult}), ...]`` in input order
-    and raises on the first failure.
-    """
-    report = run_files_report(paths, flavors, jobs, schedule, cache,
-                              fail_fast=True)
-    return [(o.name, o.results) for o in report.outcomes]
+    targets = [*(names or ()), *((path,) for path in paths or ())]
+    requests = [Request.build(
+        "check", target, flavors=tuple(flavors), schedule=schedule,
+        cache=cache, incremental=incremental, checkers=checkers,
+        witness=witness, payload_only=digest_only) for target in targets]
+    return run(requests, jobs, fail_fast=fail_fast, force_pool=force_pool)

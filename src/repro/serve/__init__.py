@@ -11,14 +11,16 @@ pool with per-request budgets.
 Layout:
 
 * :mod:`repro.serve.payload` — worker-side result rendering: the
-  JSON-safe analysis payload (digests, pair census, counters) and the
-  cache-tier classifier.
+  JSON-safe analysis and check payloads (digests, pair census,
+  counters) and the cache-tier classifier.
 * :mod:`repro.serve.core` — :class:`~repro.serve.core.AnalysisService`,
   the transport-free service core (caches, coalescing, admission,
-  budgets, metrics) shared by the daemon and tests.
+  budgets, metrics) shared by the daemon and tests.  Each endpoint
+  builds a :class:`repro.runner.Request`, the same request type the
+  CLI runs.
 * :mod:`repro.serve.http` — the asyncio HTTP adapter mapping
   ``POST /analyze`` / ``POST /check`` / ``POST /query`` /
-  ``GET /metrics`` onto the service core.
+  ``POST /slice`` / ``GET /metrics`` onto the service core.
 """
 
 from .core import AnalysisService, ServeConfig  # noqa: F401

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..choices import SCHEDULES
+from ..errors import AnalysisError, RequestError, SuiteError
 from ..lru import LRUCache
-from ..runner import (FLAVORS, WorkerPool, _check_worker,
-                      _serve_analyze_worker, default_jobs)
-from .payload import TIERS, check_payload
+from ..runner import (FLAVORS, Request, WorkerPool, _analyze_program,
+                      default_jobs, load, slice_of, slice_payload)
+from .payload import TIERS
 
 
 @dataclass
@@ -171,19 +171,6 @@ class _InFlight:
         self.response: Optional[Tuple[int, dict]] = None
 
 
-@dataclass
-class _Target:
-    """A resolved request target: what to analyze and its identity."""
-
-    name: str          # suite name or source path handed to workers
-    is_suite: bool
-    content_key: str   # content hash (the warm-identity handle)
-
-
-class ServeRequestError(Exception):
-    """A malformed request (→ HTTP 400)."""
-
-
 class AnalysisService:
     """The daemon's brain: caches, coalescing, admission, budgets."""
 
@@ -265,17 +252,15 @@ class AnalysisService:
         """One admitted request → ``(http_status, response_payload)``."""
         start = time.perf_counter()
         try:
-            if endpoint == "analyze":
-                status, payload = self._analyze(body)
-            elif endpoint == "check":
-                status, payload = self._check(body)
+            if endpoint in ("analyze", "check"):
+                status, payload = self._pooled(endpoint, body)
             elif endpoint == "query":
                 status, payload = self._query(body)
             elif endpoint == "slice":
                 status, payload = self._slice(body)
             else:
                 return 404, {"error": f"unknown endpoint {endpoint!r}"}
-        except ServeRequestError as exc:
+        except RequestError as exc:
             self.metrics.count("errors")
             return 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - daemon must not die
@@ -302,69 +287,40 @@ class AnalysisService:
 
     # -- endpoints ----------------------------------------------------
 
-    def _analyze(self, body: dict) -> Tuple[int, dict]:
-        target = self._resolve_target(body)
-        flavors = self._flavors(body)
-        schedule = self._schedule(body)
-        key = ("analyze", target.content_key, flavors, schedule,
-               self.config.incremental)
+    def _pooled(self, kind: str, body: dict) -> Tuple[int, dict]:
+        """``/analyze`` and ``/check``: one request through the pool.
+
+        The worker ships back only the JSON payload.  The payload LRU
+        and the coalescing map key on the request with its target
+        replaced by the content hash, so a key names exactly what the
+        worker runs.
+        """
+        target, content_key = self._target(body)
+        fields = {}
+        if kind == "check":
+            checkers = body.get("checkers")
+            if checkers is not None and (
+                    not isinstance(checkers, list)
+                    or not all(isinstance(c, str) for c in checkers)):
+                raise RequestError(
+                    "'checkers' must be a list of checker-id strings")
+            fields["checkers"] = checkers
+        request = self._request(kind, target, body,
+                                flavors=self._flavors(body),
+                                payload_only=True, **fields)
+        key = request._replace(target=content_key)
         cached = self.payloads.get(key)
         if cached is not None:
             return 200, dict(cached, tier="solution")
 
         def compute() -> Tuple[int, dict]:
-            task = (target.name, target.is_suite, flavors, schedule,
-                    self.config.cache, self.config.incremental)
-            outcome = self.pool.run(_serve_analyze_worker, task)
+            outcome = self.pool.run(request)
             if outcome.error is not None:
                 return 500, {"error": outcome.error.message,
                              "error_kind": outcome.error.kind,
-                             "program": target.name}
+                             "program": request.name}
             payload = outcome.payload
             self._note_summary_evictions(payload)
-            self.payloads.put(key, payload)
-            return 200, payload
-
-        return self._coalesced(key, compute)
-
-    def _check(self, body: dict) -> Tuple[int, dict]:
-        target = self._resolve_target(body)
-        flavors = self._flavors(body)
-        schedule = self._schedule(body)
-        checkers = body.get("checkers")
-        if checkers is not None:
-            if (not isinstance(checkers, list)
-                    or not all(isinstance(c, str) for c in checkers)):
-                raise ServeRequestError(
-                    "'checkers' must be a list of checker-id strings")
-            # Validate ids here so a typo is a 400, not a worker-side
-            # 500 — mirrors run_check_report's parent-side validation.
-            from ..analysis.checkers import REGISTRY
-            from ..errors import AnalysisError
-            try:
-                REGISTRY.get(checkers)
-            except AnalysisError as exc:
-                raise ServeRequestError(str(exc)) from None
-        checker_key = tuple(checkers) if checkers else None
-        key = ("check", target.content_key, flavors, schedule,
-               checker_key, self.config.incremental)
-        cached = self.payloads.get(key)
-        if cached is not None:
-            return 200, dict(cached, tier="solution")
-
-        def compute() -> Tuple[int, dict]:
-            # digest_only: finding lists stay worker-side; the response
-            # carries digests and counts, never pickled findings.
-            task = (target.name, target.is_suite, flavors, schedule,
-                    self.config.cache, checkers, False,
-                    self.config.incremental, True)
-            outcome = self.pool.run(_check_worker, task)
-            if outcome.error is not None:
-                return 500, {"error": outcome.error.message,
-                             "error_kind": outcome.error.kind,
-                             "program": target.name}
-            payload = check_payload(target.name, outcome.digests or {},
-                                    outcome.records, schedule)
             self.payloads.put(key, payload)
             return 200, payload
 
@@ -378,30 +334,26 @@ class AnalysisService:
         ``result`` LRU tiers; a doubly-cold query lowers and solves
         here, then both tiers are warm for the next one.
         """
-        target = self._resolve_target(body)
-        flavor = body.get("flavor", "insensitive")
-        if flavor not in FLAVORS:
-            raise ServeRequestError(
-                f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-        schedule = self._schedule(body)
+        target, content_key = self._target(body)
         function = body.get("function")
         if function is not None and not isinstance(function, str):
-            raise ServeRequestError("'function' must be a string")
+            raise RequestError("'function' must be a string")
         line = body.get("line")
         if line is not None and (isinstance(line, bool)
                                  or not isinstance(line, (int, str))):
-            raise ServeRequestError(
-                "'line' must be an integer or a string")
+            raise RequestError("'line' must be an integer or a string")
+        request = self._request("analyze", target, body,
+                                flavors=(body.get("flavor",
+                                                  "insensitive"),))
         # The solved result is filter-independent, so the LRU tiers key
-        # on (program, flavor, schedule) alone — but the *response* is
-        # shaped by the function/line filters, so coalescing must key
-        # on them too or a follower would inherit the leader's filtered
-        # operations verbatim.
-        result_key = ("query", target.content_key, flavor, schedule)
-        key = result_key + (function, line)
+        # on the solve alone — but the *response* is shaped by the
+        # function/line filters, so coalescing must key on them too or
+        # a follower would inherit the leader's filtered operations.
+        key = ("query", request._replace(target=content_key), function,
+               line)
 
         def compute() -> Tuple[int, dict]:
-            result, tier = self._solved_result(target, flavor, schedule)
+            result, tier = self._solved_result(request, content_key)
             operations: List[dict] = []
             for name, graph in sorted(result.program.functions.items()):
                 if function is not None and name != function:
@@ -419,8 +371,9 @@ class AnalysisService:
                                        "kind": node.kind,
                                        "origin": origin,
                                        "locations": locations})
-            return 200, {"program": target.name, "flavor": flavor,
-                         "schedule": schedule, "tier": tier,
+            return 200, {"program": request.name,
+                         "flavor": request.flavors[0],
+                         "schedule": request.schedule, "tier": tier,
                          "operations": operations}
 
         return self._coalesced(key, compute)
@@ -430,122 +383,66 @@ class AnalysisService:
 
         In-process like ``/query`` — the graph walk needs the
         object-level solution — and ``file:line`` slices share
-        ``/query``'s solved-result LRU tier exactly (same
-        ``("query", content, flavor, schedule)`` key), so a warm query
+        ``/query``'s solved-result LRU tier exactly, so a warm query
         makes the next slice a solution-tier hit and vice versa.
         Finding-keyed slices solve under the hazard-model lowering
         (the model findings are reported against) in a sibling tier
-        entry.
+        entry.  The payload is the one ``repro slice`` prints.
         """
-        from ..analysis.slicing import DIRECTIONS
-
-        target = self._resolve_target(body)
-        flavor = body.get("flavor", "insensitive")
-        if flavor not in FLAVORS:
-            raise ServeRequestError(
-                f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-        schedule = self._schedule(body)
-        criterion = body.get("criterion")
-        finding = body.get("finding")
-        direction = body.get("direction", "backward")
-        if direction not in DIRECTIONS:
-            raise ServeRequestError(
-                f"unknown direction {direction!r}; expected one of "
-                f"{DIRECTIONS}")
-        if (criterion is None) == (finding is None):
-            raise ServeRequestError(
-                "provide exactly one of 'criterion' (file:line) and "
-                "'finding' (a check finding key)")
-        for field_name, value in (("criterion", criterion),
-                                  ("finding", finding)):
+        target, content_key = self._target(body)
+        for field_name in ("criterion", "finding"):
+            value = body.get(field_name)
             if value is not None and (not isinstance(value, str)
                                       or not value):
-                raise ServeRequestError(
+                raise RequestError(
                     f"{field_name!r} must be a non-empty string")
-        hazard = finding is not None
-        prefix = "query-hazard" if hazard else "query"
-        result_key = (prefix, target.content_key, flavor, schedule)
-        key = ("slice",) + result_key + (criterion, finding, direction)
+        request = self._request(
+            "slice", target, body,
+            flavors=(body.get("flavor", "insensitive"),),
+            criterion=body.get("criterion"), finding=body.get("finding"),
+            direction=body.get("direction", "backward"))
+        key = request._replace(target=content_key)
 
         def compute() -> Tuple[int, dict]:
-            from ..analysis.depgraph import build_depgraph
-            from ..analysis.slicing import (resolve_finding,
-                                            slice_criterion,
-                                            slice_for_finding)
-            from ..errors import AnalysisError
-
-            result, tier = self._solved_result(target, flavor, schedule,
-                                               hazard=hazard)
-            graph = build_depgraph(result)
+            result, tier = self._solved_result(request, content_key)
             try:
-                if hazard:
-                    from ..analysis.checkers import run_checkers
-                    resolved = resolve_finding(run_checkers(result),
-                                               finding)
-                    slice_result = slice_for_finding(graph, resolved,
-                                                     direction)
-                else:
-                    slice_result = slice_criterion(graph, criterion,
-                                                   direction)
+                graph, sliced = slice_of(request, result)
             except AnalysisError as exc:
                 # A criterion matching nothing is the client's mistake.
                 return 400, {"error": str(exc)}
-            slice_dict = slice_result.as_dict()
-            members = set(slice_dict["nodes"])
-            node_info = {k: {"function": fn, "kind": kind,
-                             "origin": origin}
-                         for k, (fn, kind, origin)
-                         in sorted(graph.nodes.items())
-                         if k in members}
-            return 200, {"program": target.name, "flavor": flavor,
-                         "schedule": schedule, "tier": tier,
-                         "slice": slice_dict,
-                         "graph": {"stats": graph.stats(),
-                                   "digest": graph.digest()},
-                         "node_info": node_info}
+            return 200, slice_payload(request, graph, sliced, tier=tier)
 
         return self._coalesced(key, compute)
 
     # -- plumbing -----------------------------------------------------
 
-    def _solved_result(self, target: _Target, flavor: str,
-                       schedule: str, hazard: bool = False):
-        """``(result, tier)`` through the program/result LRU tiers.
+    def _solved_result(self, request: Request, content_key: str):
+        """``(result, tier)`` for the request's one flavor, through the
+        program/result LRU tiers.
 
         The warm path ``/query`` and ``/slice`` share: solved results
-        key on ``(prefix, content, flavor, schedule)`` (the response
-        shape never affects the tier), lowered programs on
-        ``(prefix, content)``.  ``hazard=True`` selects the
-        hazard-model lowering under sibling keys.
+        key on what the solve depends on — the lowering (plain or
+        hazard model), the content, the flavor and the schedule — and
+        never on the response shape; lowered programs key on the
+        lowering and the content.
         """
-        prefix = "query-hazard" if hazard else "query"
-        result_key = (prefix, target.content_key, flavor, schedule)
+        lowering = (request.hazard_model, content_key)
+        result_key = ("result", *lowering, request.flavors,
+                      request.schedule)
         result = self.results.get(result_key)
         if result is not None:
             return result, "solution"
-        from ..runner import _analyze_program
-        program_key = ("program-hazard" if hazard else "program",
-                       target.content_key)
-        program = self.programs.get(program_key)
+        program = self.programs.get(("program", *lowering))
         tier = "lowering"
         if program is None:
-            tier = "cold"
-            if target.is_suite:
-                from ..suite.registry import load_program
-                program = load_program(target.name,
-                                       cache=self.config.cache,
-                                       hazard_model=hazard)
-            else:
-                from ..frontend.pipeline import lower_file
-                program = lower_file(target.name,
-                                     cache=self.config.cache,
-                                     hazard_model=hazard)
-            if program.extras.get("cache") == "hit":
-                tier = "lowering"
-            self.programs.put(program_key, program)
+            program = load(request)
+            if program.extras.get("cache") != "hit":
+                tier = "cold"
+            self.programs.put(("program", *lowering), program)
+        (flavor,) = request.flavors
         result = _analyze_program(
-            program, (flavor,), schedule, self.config.incremental,
-            self.config.cache)[flavor]
+            program, request.flavors, request.schedule,
+            request.incremental, request.cache)[flavor]
         self.results.put(result_key, result)
         return result, tier
 
@@ -581,57 +478,58 @@ class AnalysisService:
             entry.done.set()
         return entry.response
 
+    def _request(self, kind: str, target, body: dict,
+                 **fields) -> Request:
+        """A validated request at the daemon's cache and incremental
+        settings; ``schedule`` defaults to the daemon's."""
+        return Request.build(
+            kind, target, schedule=body.get("schedule",
+                                             self.config.schedule),
+            cache=self.config.cache, incremental=self.config.incremental,
+            **fields)
+
     def _flavors(self, body: dict) -> Tuple[str, ...]:
         raw = body.get("flavors")
         if raw is None:
             return tuple(self.config.flavors)
         if isinstance(raw, str):
             raw = [raw]
-        if (not isinstance(raw, list) or not raw
-                or any(f not in FLAVORS for f in raw)):
-            raise ServeRequestError(
-                f"'flavors' must be a non-empty subset of {FLAVORS}")
-        # Preserve FLAVORS order: CS piggybacks on CI when both run.
-        return tuple(f for f in FLAVORS if f in raw)
+        if not isinstance(raw, list):
+            raise RequestError("'flavors' must be a list of flavor names")
+        return tuple(raw)
 
-    def _schedule(self, body: dict) -> str:
-        schedule = body.get("schedule", self.config.schedule)
-        if not isinstance(schedule, str) or schedule not in SCHEDULES:
-            raise ServeRequestError(
-                f"unknown schedule {schedule!r}; expected one of "
-                f"{', '.join(SCHEDULES)}")
-        return schedule
-
-    def _resolve_target(self, body: dict) -> _Target:
+    def _target(self, body: dict) -> Tuple[object, str]:
+        """The request target (a suite name or a one-path tuple) and
+        its content hash, the warm-identity handle every key uses."""
         if not isinstance(body, dict):
-            raise ServeRequestError("request body must be a JSON object")
+            raise RequestError("request body must be a JSON object")
         given = [k for k in ("program", "file", "source") if k in body]
         if len(given) != 1:
-            raise ServeRequestError(
+            raise RequestError(
                 "provide exactly one of 'program' (suite name), "
                 "'file' (path on the server), or 'source' (C text)")
         kind = given[0]
         value = body[kind]
         if not isinstance(value, str) or not value:
-            raise ServeRequestError(f"{kind!r} must be a non-empty string")
+            raise RequestError(f"{kind!r} must be a non-empty string")
         from ..frontend.cache import key_for_files
         if kind == "program":
-            from ..suite.registry import SuiteError, program_path
+            from ..suite.registry import program_path
             try:
                 path = program_path(value)
             except SuiteError as exc:
-                raise ServeRequestError(str(exc)) from None
-            return _Target(value, True, key_for_files([path]))
+                raise RequestError(str(exc)) from None
+            return value, key_for_files([path])
         if kind == "file":
             path = Path(value)
             if not path.is_file():
-                raise ServeRequestError(f"no such file: {value}")
-            return _Target(str(path), False, key_for_files([path]))
-        # Source text: spool to a content-named file so lower_file's
-        # content-hash cache applies exactly as it does for real files
-        # — the same text served twice is one lowering, ever.
-        path = self._spool_source(value)
-        return _Target(str(path), False, key_for_files([path]))
+                raise RequestError(f"no such file: {value}")
+        else:
+            # Source text: spool to a content-named file so lower_file's
+            # content-hash cache applies exactly as it does for real
+            # files — the same text served twice is one lowering, ever.
+            path = self._spool_source(value)
+        return (str(path),), key_for_files([path])
 
     def _spool_source(self, source: str) -> Path:
         import hashlib

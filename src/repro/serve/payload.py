@@ -87,9 +87,9 @@ def check_payload(name: str, digests: Mapping[str, str],
                   records, schedule: Optional[str] = None) -> dict:
     """The JSON response body for one checked program.
 
-    Built parent-side from a ``digest_only`` check outcome: the finding
-    lists never left the worker, only their digests and the per-flavor
-    count-carrying telemetry records.  Those records carry the lowering
+    Built in the worker from the findings digests and the per-flavor
+    count-carrying telemetry records of a ``payload_only`` check: the
+    finding lists never leave it.  Those records carry the lowering
     status and the summary counters, so the tier is classified by the
     same :func:`worker_tier` rule as ``/analyze``'s.
     """

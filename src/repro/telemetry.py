@@ -30,7 +30,7 @@ Record schema (``schema`` = :data:`SCHEMA_VERSION`):
       "rss_delta_kb": 123                  # process-scope records only
     }
 
-Records produced through :func:`repro.runner.run_tasks` carry
+Records produced through :func:`repro.runner.run` carry
 ``rss_scope``: ``"worker"`` means ``peak_rss_kb`` measured a pool
 process that ran (approximately) only that task; ``"process"`` means
 the task ran inline in the driver, whose cumulative peak covers every

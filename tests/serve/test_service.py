@@ -212,6 +212,23 @@ def test_unknown_checker_id_is_400(service):
     assert "checker-id strings" in payload["error"]
 
 
+@pytest.mark.parametrize("order", [("none", "all"), ("all", "none")])
+def test_empty_checker_selection_is_its_own_answer(service, order):
+    """``checkers: []`` selects no checker, as ``check --checkers ""``
+    does; in either order it must not share a cached answer with the
+    all-checkers request."""
+    bodies = {"none": {"program": "anagram", "flavors": ["insensitive"],
+                       "checkers": []},
+              "all": {"program": "anagram", "flavors": ["insensitive"]}}
+    found = {}
+    for which in order:
+        status, payload = service.handle("check", bodies[which])
+        assert status == 200, payload
+        found[which] = payload["flavors"]["insensitive"]["findings"]
+    assert found["none"] == 0
+    assert found["all"] > 0
+
+
 def test_timed_out_work_holds_admission_as_zombie(tmp_path):
     """After a 504 releases its admission slot, the thread still
     grinding on the abandoned computation counts against admission

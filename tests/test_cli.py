@@ -177,6 +177,33 @@ class TestRunFlags:
         assert code == 1
         assert "bad.c" in capsys.readouterr().err
 
+    def test_telemetry_records_the_fi_schedule(self, tiny_c, tmp_path):
+        import json
+        out_path = tmp_path / "t.jsonl"
+        assert main(["analyze", tiny_c, "--sensitivity", "flowinsensitive",
+                     "--schedule", "fifo", "--telemetry",
+                     str(out_path)]) == 0
+        (record,) = [json.loads(line)
+                     for line in out_path.read_text().splitlines()]
+        assert record["flavor"] == "flowinsensitive"
+        assert record["schedule"] == "fifo"
+
+    def test_program_named_as_given_at_any_jobs(self, tiny_c, two_files,
+                                                tmp_path, capsys):
+        """Linked or fanned out, a file's records name it as given —
+        the only name an error record can carry."""
+        import json
+        good, _ = two_files
+        named = {}
+        for jobs, files in (("1", [tiny_c]), ("2", [tiny_c, str(good)])):
+            out_path = tmp_path / f"jobs{jobs}.jsonl"
+            assert main(["analyze", *files, "--jobs", jobs,
+                         "--telemetry", str(out_path)]) == 0
+            named[jobs] = [json.loads(line)["program"]
+                           for line in out_path.read_text().splitlines()]
+        assert named["1"] == [tiny_c, tiny_c]
+        assert named["2"] == [tiny_c, tiny_c, str(good), str(good)]
+
     def test_flags_mutually_exclusive(self, tiny_c, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", tiny_c, "--fail-fast", "--keep-going"])

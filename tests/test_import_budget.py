@@ -116,12 +116,12 @@ def test_warm_subcommand_imports_only_what_it_runs(workdir, command):
 
 
 #: One ``serve-cold`` fresh-class solve: a generated program with
-#: enough dense masks to reach every decode path, through the daemon's
-#: worker with all three flavors, cache and incremental on.
+#: enough dense masks to reach every decode path, run as the daemon's
+#: workers run it, with all three flavors, cache and incremental on.
 _SERVE_COLD = """
-from repro.runner import FLAVORS, _serve_analyze_worker
-outcome = _serve_analyze_worker(("fresh.c", False, FLAVORS, "batched",
-                                 True, True))
+from repro.runner import FLAVORS, Request, execute
+outcome = execute(Request.build("analyze", ("fresh.c",), flavors=FLAVORS,
+                                incremental=True, payload_only=True))
 assert outcome.error is None, outcome.error
 assert set(outcome.payload["flavors"]) == set(FLAVORS)
 """

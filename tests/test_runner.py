@@ -5,14 +5,29 @@ import os
 import pytest
 
 from repro.errors import ReproError
-from repro.runner import (
-    INLINE_TASK_THRESHOLD,
-    run_files,
-    run_suite,
-    run_suite_report,
-)
+from repro.runner import INLINE_TASK_THRESHOLD, Request, run
 
 NAMES = ["anagram", "backprop", "span"]
+
+
+def _suite_report(names, jobs=None, flavors=("insensitive", "sensitive"),
+                  fail_fast=False, force_pool=False, **fields):
+    return run([Request.build("analyze", name, flavors=flavors, **fields)
+                for name in names], jobs, fail_fast=fail_fast,
+               force_pool=force_pool)
+
+
+def _suite(names, jobs=None, **fields):
+    """``{name: {flavor: result}}``, raising on the first failure."""
+    return _suite_report(names, jobs, fail_fast=True, **fields).results
+
+
+def _files(paths, jobs=None):
+    """``[(path, {flavor: result})]`` with each file its own program,
+    raising on the first failure."""
+    report = run([Request.build("analyze", (path,), cache=False)
+                  for path in paths], jobs, fail_fast=True)
+    return [(o.name, o.results) for o in report.outcomes]
 
 
 def _snapshot(result):
@@ -26,8 +41,8 @@ def _snapshot(result):
 class TestRunSuite:
     def test_inline_matches_parallel(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        inline = run_suite(names=NAMES, jobs=1)
-        fanned = run_suite(names=NAMES, jobs=2)
+        inline = _suite(names=NAMES, jobs=1)
+        fanned = _suite(names=NAMES, jobs=2)
         assert set(inline) == set(fanned) == set(NAMES)
         for name in NAMES:
             for flavor in ("insensitive", "sensitive"):
@@ -41,7 +56,7 @@ class TestRunSuite:
         """CI and CS results for one program must reference the same
         shipped object graph — ports from one index into the other."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        results = run_suite(names=["anagram"], jobs=2)["anagram"]
+        results = _suite(names=["anagram"], jobs=2)["anagram"]
         ci, cs = results["insensitive"], results["sensitive"]
         assert ci.program is cs.program
         for output in ci.solution.outputs():
@@ -49,17 +64,17 @@ class TestRunSuite:
                 or output.node.graph is not None
 
     def test_flavor_selection(self):
-        results = run_suite(names=["span"], jobs=1,
-                            flavors=("flowinsensitive",))
+        results = _suite(names=["span"], jobs=1,
+                         flavors=("flowinsensitive",))
         assert set(results["span"]) == {"flowinsensitive"}
 
     def test_unknown_flavor_rejected(self):
         with pytest.raises(ReproError, match="unknown analysis flavor"):
-            run_suite(names=["span"], flavors=("optimistic",))
+            _suite(names=["span"], flavors=("optimistic",))
 
     def test_fifo_schedule_passthrough(self):
-        batched = run_suite(names=["span"], jobs=1)
-        fifo = run_suite(names=["span"], jobs=1, schedule="fifo")
+        batched = _suite(names=["span"], jobs=1)
+        fifo = _suite(names=["span"], jobs=1, schedule="fifo")
         assert _snapshot(batched["span"]["insensitive"])[1] \
             == _snapshot(fifo["span"]["insensitive"])[1]
 
@@ -71,7 +86,7 @@ class TestInlineFallback:
     def test_tiny_sweep_runs_in_caller(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert len(NAMES) <= INLINE_TASK_THRESHOLD
-        report = run_suite_report(names=NAMES, jobs=2)
+        report = _suite_report(names=NAMES, jobs=2)
         pids = {record["worker_pid"] for record in report.records}
         assert pids == {os.getpid()}
 
@@ -79,8 +94,8 @@ class TestInlineFallback:
         # Two tasks: ``jobs`` clamps to the task count, so a single
         # task always runs inline no matter what.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        report = run_suite_report(names=["span", "anagram"], jobs=2,
-                                  force_pool=True)
+        report = _suite_report(names=["span", "anagram"], jobs=2,
+                               force_pool=True)
         pids = {record["worker_pid"] for record in report.records}
         assert os.getpid() not in pids
 
@@ -92,7 +107,7 @@ class TestInlineFallback:
         harmless, so it proves routing without injecting anything."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_FAULT_INJECT", "noop:never")
-        report = run_suite_report(names=["span", "anagram"], jobs=2)
+        report = _suite_report(names=["span", "anagram"], jobs=2)
         pids = {record["worker_pid"] for record in report.records}
         assert os.getpid() not in pids
 
@@ -103,7 +118,7 @@ class TestRunFiles:
         a.write_text("int x; int *p = &x; int main(void){return *p;}")
         b = tmp_path / "b.c"
         b.write_text("int y; int *q = &y; int f(void){return *q;}")
-        results = run_files([a, b], jobs=2)
+        results = _files([a, b], jobs=2)
         assert [path for path, _ in results] == [str(a), str(b)]
         progs = [res["insensitive"].program for _, res in results]
         assert progs[0] is not progs[1]
@@ -113,4 +128,4 @@ class TestRunFiles:
         assert "f" not in names0 and "main" not in names1
 
     def test_empty_input(self):
-        assert run_files([]) == []
+        assert _files([]) == []

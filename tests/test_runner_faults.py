@@ -15,15 +15,25 @@ import pytest
 from repro.errors import ReproError
 from repro.runner import (
     FAULT_INJECT_ENV,
+    Request,
     RunReport,
     TaskError,
     TaskOutcome,
-    run_files_report,
-    run_suite,
-    run_suite_report,
+    run,
 )
 
 NAMES = ["anagram", "backprop", "span"]
+
+
+def _suite_report(names, jobs=None, flavors=("insensitive", "sensitive"),
+                  fail_fast=False):
+    return run([Request.build("analyze", name, flavors=flavors)
+                for name in names], jobs, fail_fast=fail_fast)
+
+
+def _files_report(paths, jobs=None):
+    return run([Request.build("analyze", (path,), cache=False)
+                for path in paths], jobs)
 
 
 @pytest.fixture(autouse=True)
@@ -36,8 +46,8 @@ class TestRaisingWorker:
 
     def test_survivors_complete_parallel(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "backprop=raise")
-        report = run_suite_report(names=NAMES, jobs=2,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=NAMES, jobs=2,
+                               flavors=("insensitive",))
         assert not report.ok
         assert sorted(report.results) == ["anagram", "span"]
         (error,) = report.errors
@@ -48,23 +58,23 @@ class TestRaisingWorker:
 
     def test_survivors_complete_inline(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "span=raise")
-        report = run_suite_report(names=NAMES, jobs=1,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=NAMES, jobs=1,
+                               flavors=("insensitive",))
         assert sorted(report.results) == ["anagram", "backprop"]
         assert [e.name for e in report.errors] == ["span"]
 
     def test_outcomes_preserve_submission_order(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "anagram=raise")
-        report = run_suite_report(names=NAMES, jobs=2,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=NAMES, jobs=2,
+                               flavors=("insensitive",))
         assert [o.name for o in report.outcomes] == NAMES
         assert not report.outcomes[0].ok
         assert report.outcomes[1].ok and report.outcomes[2].ok
 
     def test_error_record_emitted(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "backprop=raise")
-        report = run_suite_report(names=NAMES, jobs=2,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=NAMES, jobs=2,
+                               flavors=("insensitive",))
         (record,) = [r for r in report.records if r["kind"] == "error"]
         assert record["program"] == "backprop"
         assert record["error"]["kind"] == "ReproError"
@@ -76,8 +86,8 @@ class TestKilledWorker:
 
     def test_dead_worker_named_survivors_returned(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "backprop=exit")
-        report = run_suite_report(names=NAMES, jobs=2,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=NAMES, jobs=2,
+                               flavors=("insensitive",))
         assert sorted(report.results) == ["anagram", "span"]
         (error,) = report.errors
         assert error.name == "backprop"
@@ -86,18 +96,19 @@ class TestKilledWorker:
 
     def test_dead_worker_error_record(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "span=exit")
-        report = run_suite_report(names=NAMES, jobs=2,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=NAMES, jobs=2,
+                               flavors=("insensitive",))
         (record,) = [r for r in report.records if r["kind"] == "error"]
         assert record["program"] == "span"
         assert record["error"]["kind"] == "WorkerDied"
 
     def test_survivor_results_match_clean_run(self, monkeypatch):
-        clean = run_suite(names=["anagram"], jobs=1,
-                          flavors=("insensitive",))
+        clean = _suite_report(names=["anagram"], jobs=1,
+                              flavors=("insensitive",),
+                              fail_fast=True).results
         monkeypatch.setenv(FAULT_INJECT_ENV, "span=exit")
-        report = run_suite_report(names=["anagram", "span"], jobs=2,
-                                  flavors=("insensitive",))
+        report = _suite_report(names=["anagram", "span"], jobs=2,
+                               flavors=("insensitive",))
         survivor = report.results["anagram"]["insensitive"]
         assert survivor.counters.as_dict() \
             == clean["anagram"]["insensitive"].counters.as_dict()
@@ -107,19 +118,20 @@ class TestFailFast:
     def test_parallel_raises_naming_task(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "backprop=raise")
         with pytest.raises(ReproError, match="backprop"):
-            run_suite_report(names=NAMES, jobs=2,
-                             flavors=("insensitive",), fail_fast=True)
+            _suite_report(names=NAMES, jobs=2,
+                          flavors=("insensitive",), fail_fast=True)
 
     def test_inline_raises_naming_task(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "anagram=raise")
         with pytest.raises(ReproError, match="anagram"):
-            run_suite_report(names=NAMES, jobs=1,
-                             flavors=("insensitive",), fail_fast=True)
+            _suite_report(names=NAMES, jobs=1,
+                          flavors=("insensitive",), fail_fast=True)
 
     def test_back_compat_run_suite_raises(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "anagram=raise")
         with pytest.raises(ReproError, match="anagram"):
-            run_suite(names=NAMES, jobs=2, flavors=("insensitive",))
+            _suite_report(names=NAMES, jobs=2, flavors=("insensitive",),
+                          fail_fast=True)
 
 
 class TestRunFilesFaults:
@@ -128,7 +140,7 @@ class TestRunFilesFaults:
         good.write_text("int x; int *p = &x; int main(void){return *p;}")
         bad = tmp_path / "bad.c"
         bad.write_text("this is not C at all ((((")
-        report = run_files_report([good, bad], jobs=2)
+        report = _files_report([good, bad], jobs=2)
         assert not report.ok
         assert list(report.results) == [str(good)]
         (error,) = report.errors
@@ -138,7 +150,7 @@ class TestRunFilesFaults:
         good = tmp_path / "good.c"
         good.write_text("int main(void){return 0;}")
         missing = tmp_path / "nope.c"
-        report = run_files_report([good, missing], jobs=1)
+        report = _files_report([good, missing], jobs=1)
         assert list(report.results) == [str(good)]
         assert [e.name for e in report.errors] == [str(missing)]
 
@@ -148,23 +160,23 @@ class TestCorruptCacheUnderParallelSweep:
                                                monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-        first = run_suite_report(names=["anagram", "span"], jobs=2,
-                                 flavors=("insensitive",))
+        first = _suite_report(names=["anagram", "span"], jobs=2,
+                              flavors=("insensitive",))
         assert first.ok
         entries = sorted(cache.glob("*.pkl"))
         assert len(entries) == 2
         for entry in entries:
             entry.write_bytes(b"corrupt" + entry.read_bytes()[:32])
-        second = run_suite_report(names=["anagram", "span"], jobs=2,
-                                  flavors=("insensitive",))
+        second = _suite_report(names=["anagram", "span"], jobs=2,
+                               flavors=("insensitive",))
         assert second.ok
         for name in ("anagram", "span"):
             assert second.results[name]["insensitive"].counters.as_dict() \
                 == first.results[name]["insensitive"].counters.as_dict()
         # The corrupt entries were replaced, not just skipped.
         assert all(r["cache"] == "miss" for r in second.records)
-        third = run_suite_report(names=["anagram", "span"], jobs=2,
-                                 flavors=("insensitive",))
+        third = _suite_report(names=["anagram", "span"], jobs=2,
+                              flavors=("insensitive",))
         assert all(r["cache"] == "hit" for r in third.records)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.insensitive import analyze_insensitive
 from repro.analysis.sensitive import analyze_sensitive
-from repro.runner import run_suite_report
+from repro.runner import Request, run
 from repro.suite.registry import load_program
 from repro.telemetry import (
     SCHEMA_VERSION,
@@ -18,6 +18,12 @@ from repro.telemetry import (
     result_records,
     write_jsonl,
 )
+
+
+def _suite_report(names, jobs=None, force_pool=False):
+    return run([Request.build("analyze", name,
+                              flavors=("insensitive", "sensitive"))
+                for name in names], jobs, force_pool=force_pool)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +103,7 @@ class TestParallelMatchesInline:
 
     def test_counters_cross_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        report = run_suite_report(names=["anagram", "span"], jobs=2)
+        report = _suite_report(names=["anagram", "span"], jobs=2)
         inline_ci = analyze_insensitive(
             load_program("anagram", cache=False))
         (record,) = [r for r in report.records
@@ -121,7 +127,7 @@ class TestRssScope:
     def test_inline_records_are_process_scoped(self, tmp_path,
                                                monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        report = run_suite_report(names=["anagram", "span"], jobs=1)
+        report = _suite_report(names=["anagram", "span"], jobs=1)
         for record in report.records:
             assert record["rss_scope"] == "process"
             # The delta attributes growth to *this* task; peak RSS
@@ -137,8 +143,8 @@ class TestRssScope:
     def test_worker_records_are_worker_scoped(self, tmp_path,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        report = run_suite_report(names=["anagram", "span"], jobs=2,
-                                  force_pool=True)
+        report = _suite_report(names=["anagram", "span"], jobs=2,
+                               force_pool=True)
         for record in report.records:
             assert record["rss_scope"] == "worker"
             # Worker peaks stand on their own; no delta is attached.
@@ -151,8 +157,8 @@ class TestRssScope:
         sum to (at most) the total peak growth, whereas the raw peaks
         are cumulative and monotone."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        report = run_suite_report(names=["anagram", "span", "cdecl"],
-                                  jobs=1)
+        report = _suite_report(names=["anagram", "span", "cdecl"],
+                               jobs=1)
         peaks = [r["peak_rss_kb"] for r in report.records]
         if any(p is None for p in peaks):
             pytest.skip("no resource module on this platform")
