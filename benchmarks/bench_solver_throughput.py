@@ -1,7 +1,7 @@
 """Solver throughput and end-to-end sweep benchmark.
 
 Measures, and records in ``BENCH_solver.json`` at the repo root
-(report ``schema`` 3):
+(report ``schema`` 4):
 
 * **Solver throughput** — the CI fixpoint over the adversarial
   copy-chain workload (solver-bound: quadratic pair sets flowing
@@ -16,6 +16,11 @@ Measures, and records in ``BENCH_solver.json`` at the repo root
   schedule, one process) against the optimized path (persistent
   lowering cache warm, batched dense engine, inline for tiny sweeps
   or ``--jobs`` workers for large ones).
+* **Per-flavor leg** — CI, CS and FI solves of the fresh-program class
+  (``fuzz.generator.generate_program(seed, 500)``, seeds 1–13; the
+  daemon benchmark's never-seen sources, whose CS facts are mostly
+  unconditional), under both schedules: solve seconds, ``transfers``
+  and ``meets`` per flavor and schedule, summed over the programs.
 
 Run directly::
 
@@ -25,10 +30,10 @@ Run directly::
 The ``--smoke`` mode runs a reduced workload (seconds, not minutes)
 and is wired into ``make bench-smoke`` / ``make test`` as a regression
 gate.  Both modes *fail* (nonzero exit) when the dense engine's
-solution digest differs from the FIFO reference's, when the batched
-entry is missing the representation counters, or when the warm
-optimized sweep fails to beat the cold baseline
-(``end_to_end_speedup < 1.0``).
+solution digest differs from the FIFO reference's (on the copy chain,
+or for any flavor of the per-flavor leg), when the batched entry is
+missing the representation counters, or when the warm optimized sweep
+fails to beat the cold baseline (``end_to_end_speedup < 1.0``).
 """
 
 from __future__ import annotations
@@ -44,9 +49,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.common import solution_digest  # noqa: E402
+from repro.analysis.flowinsensitive import (  # noqa: E402
+    analyze_flowinsensitive,
+)
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
+from repro.analysis.sensitive import analyze_sensitive  # noqa: E402
 from repro.cpus import available_cpus  # noqa: E402
 from repro.frontend.cache import resolve_cache_dir  # noqa: E402
+from repro.frontend.pipeline import lower_source  # noqa: E402
+from repro.fuzz.generator import generate_program  # noqa: E402
 from repro.perf import PhaseTimer, best_of  # noqa: E402
 from repro.runner import (  # noqa: E402
     INLINE_TASK_THRESHOLD, Request, run,
@@ -98,6 +109,54 @@ def bench_solver(width: int, length: int, repeats: int) -> dict:
     report["batched_speedup_vs_fifo"] = round(
         report["fifo"]["seconds"] / report["batched"]["seconds"], 3)
     return report
+
+
+#: Generator budget of the fresh-program class.
+FRESH_MAX_NODES = 500
+
+
+def bench_flavors(seeds, repeats: int) -> dict:
+    """CI, CS and FI solves of fresh-class programs, per schedule.
+
+    Each program is lowered once and solved once per schedule before
+    timing, so the timed repeats measure the solvers on a warm fact
+    table, as repeat solves of one program run in production."""
+    flavors = ("insensitive", "sensitive", "flowinsensitive")
+    totals = {flavor: {schedule: {"seconds": 0.0, "transfers": 0,
+                                  "meets": 0}
+                       for schedule in VARIANTS} for flavor in flavors}
+    mismatches = []
+    for seed in seeds:
+        source = generate_program(seed, FRESH_MAX_NODES).source
+        program = lower_source(source, f"fresh{seed}.c")
+        digests = {}
+        for schedule in VARIANTS:
+            ci = analyze_insensitive(program, schedule=schedule)
+            solvers = {
+                "insensitive": lambda: analyze_insensitive(
+                    program, schedule=schedule),
+                "sensitive": lambda: analyze_sensitive(
+                    program, ci_result=ci, schedule=schedule),
+                "flowinsensitive": lambda: analyze_flowinsensitive(
+                    program, schedule=schedule),
+            }
+            for flavor in flavors:
+                seconds, result = best_of(solvers[flavor], repeats)
+                entry = totals[flavor][schedule]
+                entry["seconds"] += seconds
+                entry["transfers"] += result.counters.transfers
+                entry["meets"] += result.counters.meets
+                digests[flavor, schedule] = solution_digest(result)
+        for flavor in flavors:
+            if digests[flavor, "batched"] != digests[flavor, "fifo"]:
+                mismatches.append(f"{flavor} on seed {seed}")
+    for by_schedule in totals.values():
+        for entry in by_schedule.values():
+            entry["seconds"] = round(entry["seconds"], 6)
+    return {"workload": f"generate_program(seed, {FRESH_MAX_NODES}), "
+                        f"seeds {list(seeds)}",
+            "flavors": totals,
+            "digest_mismatches": mismatches}
 
 
 def bench_sweep(names, jobs: int, repeats: int) -> dict:
@@ -173,9 +232,11 @@ def main(argv=None) -> int:
     if args.smoke:
         width, length = 24, 16
         names = ["anagram", "backprop", "span"]
+        seeds = range(1, 4)
     else:
         width, length = 60, 40
         names = list(PROGRAM_NAMES)
+        seeds = range(1, 14)
 
     timer = PhaseTimer()
     with timer.phase("solver"):
@@ -186,9 +247,11 @@ def main(argv=None) -> int:
         # best-case millisecond slices) would multiply its wall-clock
         # for no extra signal.
         sweep = bench_sweep(names, args.jobs, min(repeats, 10))
+    with timer.phase("flavors"):
+        flavors = bench_flavors(seeds, min(repeats, 3))
 
     report = {
-        "schema": 3,
+        "schema": 4,
         "generated_unix": int(time.time()),
         "smoke": args.smoke,
         "machine": {
@@ -200,6 +263,7 @@ def main(argv=None) -> int:
                           for k, v in timer.as_dict().items()},
         "solver": solver,
         "sweep": sweep,
+        "flavors": flavors,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -214,6 +278,11 @@ def main(argv=None) -> int:
           f"warm/batched/"
           f"{'inline' if sweep['ran_inline'] else 'jobs=' + str(sweep['jobs_effective'])} "
           f"({sweep['end_to_end_speedup']}x)")
+    for flavor, by_schedule in flavors["flavors"].items():
+        print(f"flavors[{flavor}]: " + ", ".join(
+            f"{schedule} {entry['seconds']:.3f}s "
+            f"({entry['transfers']:,} transfers, {entry['meets']:,} meets)"
+            for schedule, entry in by_schedule.items()))
     print(f"wrote {args.output}")
 
     failures = []
@@ -222,6 +291,10 @@ def main(argv=None) -> int:
         failures.append(
             f"dense solution digest differs from the fifo reference: "
             f"{short}")
+    if flavors["digest_mismatches"]:
+        failures.append(
+            "batched solution digest differs from the fifo reference: "
+            + ", ".join(flavors["digest_mismatches"]))
     missing = [c for c in DENSE_COUNTERS
                if c not in solver["batched"].get("dense", {})]
     if missing:

@@ -60,12 +60,19 @@ class Counters:
 
     * ``transfers`` — facts processed by ``flow-in``.  The paper: CS
       executes only ~10% more than CI.  Schedule-independent for the
-      context-insensitive analysis (each fact is queued to a consumer
-      exactly once, when it is first added to the producing output).
+      context-insensitive and flow-insensitive analyses (each fact is
+      queued to a consumer exactly once, when it is first added to the
+      producing output); a bitset engine counts the set bits it pops,
+      so a batch of n facts is n transfers.  FI's re-firing of lookups
+      when the global store grows is not a transfer.
     * ``meets`` — applications of ``flow-out`` (attempted set joins).
       The paper: CS performs up to 100× more than CI.  *Not*
       schedule-independent: whether a (location, store) combination is
-      attempted once or twice depends on arrival order.
+      attempted once or twice depends on arrival order.  The CS and
+      FI bitset engines count one meet per attempted join, as their
+      per-fact references do: a kernel image counts one per fact it
+      produces for each location (a two-location update counts each
+      surviving store pair twice), even when the join is subsumed.
     * ``pairs_added`` — joins that actually grew a set.  Equals the
       final solution size, hence schedule-independent for CI.
     * ``batches`` — worklist pops under the batched schedule (equals
@@ -363,50 +370,66 @@ class Worklist:
         return len(self._queue)
 
 
-class BatchedWorklist:
-    """Port-keyed deduplicating worklist.
+class LaneWorklist:
+    """Port-keyed worklist of the batched CS engine: per port, one
+    pending bitset of unconditional facts (the lane) and one list of
+    facts that carry assumptions.
 
-    Facts are bucketed per input port (``pending``); a FIFO of dirty
-    ports decides processing order.  One pop drains *every* fact
-    pending at a port, so a single transfer application handles the
-    whole batch.  Because each fact reaches a given consumer at most
-    once (producers only forward pairs their solution set did not
-    already contain, and every input port has exactly one source
-    output), the per-port lists are duplicate-free by construction —
-    a plain list beats a set here.
+    A FIFO of dirty ports decides processing order; a pop drains both
+    of a port's pending parts through one handler application.  Each
+    fact reaches a given consumer at most once (producers only forward
+    facts their output did not already hold), so the per-port lists
+    are duplicate-free by construction.
     """
 
+    __slots__ = ("lanes", "conds", "_dirty")
+
     def __init__(self) -> None:
-        self.pending: Dict[InputPort, List[object]] = {}
+        self.lanes: Dict[InputPort, int] = {}
+        self.conds: Dict[InputPort, List[object]] = {}
         self._dirty: deque = deque()
+
+    def push_mask(self, input_port: InputPort, mask: int) -> None:
+        if input_port is None:
+            raise AnalysisError(
+                "facts pushed to a None input port (dangling graph edge?)")
+        current = self.lanes.get(input_port)
+        if current is None:
+            self.lanes[input_port] = mask
+            if input_port not in self.conds:
+                self._dirty.append(input_port)
+        else:
+            self.lanes[input_port] = current | mask
 
     def push(self, input_port: InputPort, fact: object) -> None:
         if input_port is None:
             raise AnalysisError(
                 f"fact {fact!r} pushed to a None input port (dangling "
                 "graph edge?)")
-        bucket = self.pending.get(input_port)
+        bucket = self.conds.get(input_port)
         if bucket is None:
-            self.pending[input_port] = [fact]
-            self._dirty.append(input_port)
+            self.conds[input_port] = [fact]
+            if input_port not in self.lanes:
+                self._dirty.append(input_port)
         else:
             bucket.append(fact)
 
-    def pop(self) -> Tuple[InputPort, List[object]]:
-        """Pop the oldest dirty port with all its pending facts."""
+    def pop(self) -> Tuple[InputPort, int, List[object]]:
+        """Pop the oldest dirty port with its pending lane bitset and
+        its pending conditional facts."""
         port = self._dirty.popleft()
-        return port, self.pending.pop(port)
+        return port, self.lanes.pop(port, 0), self.conds.pop(port, ())
 
     def __bool__(self) -> bool:
         return bool(self._dirty)
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self.pending.values())
+        return len(self._dirty)
 
 
 class MaskWorklist:
-    """Port-keyed worklist over fact bitsets (the dense engine's
-    counterpart of :class:`BatchedWorklist`).
+    """Port-keyed worklist over fact bitsets (the dense CI and FI
+    engines).
 
     Pending facts per port are one big-int; merging a later push is a
     single OR.  A FIFO of dirty ports decides processing order, and a

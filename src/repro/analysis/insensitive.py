@@ -107,6 +107,32 @@ class _DispatchCache(dict):
 _SEED_PLAN_KEY = "ci_seed_plan"
 
 
+def seed_plan(program: Program, table: FactTable
+              ) -> Tuple[List[Tuple[OutputPort, int]], int]:
+    """The program's dense seed plan (see :data:`_SEED_PLAN_KEY`),
+    built on first request: Figure 1's address seeds, then the roots'
+    initial stores and value seeds, merged per output in first-seen
+    order."""
+    plan = program.extras.get(_SEED_PLAN_KEY)
+    if plan is None:
+        pair_id = table.pair_id
+        masks: Dict[OutputPort, int] = {}
+        seeds = 0
+
+        def record(output: OutputPort, pair: PointsToPair) -> None:
+            nonlocal seeds
+            seeds += 1
+            masks[output] = masks.get(output, 0) | (1 << pair_id(pair))
+
+        seed_addresses(program, record)
+        seed_roots(program, record)
+        entries = list(masks.items())
+        extra = seeds - sum(mask.bit_count() for _, mask in entries)
+        plan = (entries, extra)
+        program.extras[_SEED_PLAN_KEY] = plan
+    return plan
+
+
 class InsensitiveAnalysis:
     """One run of the context-insensitive analysis over a program."""
 
@@ -184,32 +210,19 @@ class InsensitiveAnalysis:
         one pair), and the join delta counts ``pairs_added`` the same
         whether pairs arrive one at a time or batched.
         """
-        plan = self.program.extras.get(_SEED_PLAN_KEY)
-        if plan is None:
-            pair_id = self.table.pair_id
-            masks: Dict[OutputPort, int] = {}
-            seeds = 0
-
-            def record(output: OutputPort, pair: PointsToPair) -> None:
-                nonlocal seeds
-                seeds += 1
-                masks[output] = masks.get(output, 0) | (1 << pair_id(pair))
-
-            seed_addresses(self.program, record)
-            seed_roots(self.program, record)
-            entries = list(masks.items())
-            extra = seeds - sum(mask.bit_count() for _, mask in entries)
-            plan = (entries, extra)
-            self.program.extras[_SEED_PLAN_KEY] = plan
-        entries, extra = plan
+        entries, extra = seed_plan(self.program, self.table)
         flow_out_mask = self.flow_out_mask
         for output, mask in entries:
             flow_out_mask(output, mask)
         self.counters.meets += extra
 
     def _run_dense(self) -> None:
-        dispatch = self._dispatch
         self._seed_dense()
+        self._drain()
+
+    def _drain(self) -> None:
+        """Run the dense worklist until it is empty."""
+        dispatch = self._dispatch
         worklist = self.worklist
         counters = self.counters
         bind_node = self._bind_node
@@ -326,14 +339,17 @@ class InsensitiveAnalysis:
         """
         dispatch = self._dispatch
         node = input_port.node
-        table = self.table
         for port, role, index in input_roles(node):
-            dispatch[port] = _make_handler(node, role, index, table)
+            dispatch[port] = self._make_port_handler(node, role, index)
         handler = dispatch.get(input_port)
         if handler is None:
             raise AnalysisError(
                 f"pair arrived at unexpected node {input_port.node!r}")
         return handler
+
+    def _make_port_handler(self, node: Node, role: str,
+                           index: int) -> MaskHandler:
+        return _make_handler(node, role, index, self.table)
 
     # -- transfer functions (flow-in, Figure 1; FIFO schedule) ----------------
 

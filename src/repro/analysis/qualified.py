@@ -19,12 +19,24 @@ where ``(p, A)`` already holds may be discarded whenever ``A ⊆ B`` — if
 ``p`` already holds under the weaker assumption set there is no need to
 store or process the stronger one.  :class:`QualifiedSolution` keeps,
 per output and plain pair, an antichain of minimal assumption sets.
+
+Most CS facts carry no assumptions at all (§4.2's pruning drops them at
+every operation CI proves single-target, and root procedures have no
+formals to assume anything about).  The batched CS engine therefore
+keeps those *unconditional* facts in a per-output **lane**: a bitset
+over the program's shared :class:`~repro.memory.facttable.FactTable`
+ids, joined and translated with CI's kernels.  An unconditional pair
+subsumes every conditional variant of it (∅ is a subset of every set),
+so a pair lives either in its output's lane or in its antichain, never
+both.  The query API presents lane facts as unconditional pairs, so
+clients cannot tell the two representations apart.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from ..memory.facttable import FactTable, decode_ids
 from ..memory.pairs import PointsToPair
 from ..ir.nodes import OutputPort
 from .common import PointsToSolution
@@ -147,11 +159,23 @@ class QualifiedSolution:
     Assumptions are interned to dense ids solution-wide, so every
     antichain's subsumption tests share one id space and a qualified
     pair re-added on a different output re-encodes to the same mask.
+
+    Unconditional facts may also live in per-output lane bitsets over
+    ``table`` (:meth:`join_lane`); :meth:`add` stores everything in
+    antichains, as the per-fact reference engine does.  A lane bit
+    removes its pair's antichain at that output and rejects later
+    conditional variants of it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, table: Optional[FactTable] = None) -> None:
+        self.table = table if table is not None else FactTable()
         self._pairs: Dict[OutputPort, Dict[PointsToPair, AssumptionAntichain]] = {}
         self._assumption_ids: Dict[Assumption, int] = {}
+        #: Unconditional facts per output, as bitsets over ``table``.
+        self._lanes: Dict[OutputPort, int] = {}
+        #: Per output, the bitset of pairs that have an antichain: the
+        #: only lane bits whose arrival can subsume stored facts.
+        self._chained: Dict[OutputPort, int] = {}
 
     def assumption_mask(self, assumptions: AssumptionSet) -> int:
         """Encode an assumption set as a bitset over solution-wide ids."""
@@ -174,6 +198,9 @@ class QualifiedSolution:
         return sorted(assumptions, key=self._assumption_ids.__getitem__)
 
     def add(self, output: OutputPort, qp: QualifiedPair) -> bool:
+        ident = self.table.pair_id(qp.pair)
+        if self._lanes.get(output, 0) >> ident & 1:
+            return False
         by_pair = self._pairs.get(output)
         if by_pair is None:
             by_pair = {}
@@ -182,16 +209,59 @@ class QualifiedSolution:
         if chain is None:
             chain = AssumptionAntichain()
             by_pair[qp.pair] = chain
+            self._chained[output] = self._chained.get(output, 0) | 1 << ident
         return chain.add_qualified(qp, self.assumption_mask(qp.assumptions))
+
+    def join_lane(self, output: OutputPort, mask: int) -> int:
+        """OR unconditional facts into the output's lane; returns the
+        genuinely new bits.  Antichains of newly unconditional pairs
+        are dropped: the empty set subsumes all of their members."""
+        old = self._lanes.get(output, 0)
+        new = mask & ~old
+        if new:
+            self._lanes[output] = old | new
+            chained = self._chained.get(output, 0)
+            subsumed = new & chained
+            if subsumed:
+                self._chained[output] = chained & ~subsumed
+                by_pair = self._pairs[output]
+                pair_of = self.table.pair_of
+                for ident in decode_ids(subsumed):
+                    del by_pair[pair_of(ident)]
+        return new
 
     # -- queries ------------------------------------------------------------
 
+    def lane_mask(self, output: OutputPort) -> int:
+        """The output's unconditional facts as a bitset (0 if none)."""
+        return self._lanes.get(output, 0)
+
+    def chain_pairs(self, output: OutputPort) -> List[QualifiedPair]:
+        """Snapshot of the facts the output keeps in antichains: all of
+        them for the per-fact engine, only the conditional ones beside
+        a lane."""
+        by_pair = self._pairs.get(output)
+        if not by_pair:
+            return []
+        return [qp for chain in by_pair.values() for qp in chain.quals]
+
+    def _lane_pairs(self, output: OutputPort) -> List[PointsToPair]:
+        lane = self._lanes.get(output, 0)
+        return self.table.decode_pairs(lane) if lane else []
+
     def plain_pairs(self, output: OutputPort) -> Set[PointsToPair]:
         """The assumption-stripped pair set on an output."""
-        return set(self._pairs.get(output, ()))
+        pairs = set(self._pairs.get(output, ()))
+        pairs.update(self._lane_pairs(output))
+        return pairs
 
     def assumption_sets(self, output: OutputPort,
                         pair: PointsToPair) -> List[AssumptionSet]:
+        lane = self._lanes.get(output)
+        if lane:
+            ident = self.table.id_of(pair)
+            if ident is not None and lane >> ident & 1:
+                return [EMPTY_ASSUMPTIONS]
         by_pair = self._pairs.get(output)
         if by_pair is None:
             return []
@@ -199,19 +269,26 @@ class QualifiedSolution:
         return list(chain) if chain is not None else []
 
     def qualified_pairs(self, output: OutputPort) -> Iterator[QualifiedPair]:
+        for pair in self._lane_pairs(output):
+            yield QualifiedPair(pair)
         for chain in self._pairs.get(output, {}).values():
             yield from chain.quals
 
     def outputs(self) -> Iterator[OutputPort]:
-        return iter(self._pairs)
+        return iter(dict.fromkeys([*self._pairs, *self._lanes]))
+
+    def _lane_total(self) -> int:
+        return sum(lane.bit_count() for lane in self._lanes.values())
 
     def total_plain_pairs(self) -> int:
-        return sum(len(by_pair) for by_pair in self._pairs.values())
+        return self._lane_total() + sum(
+            len(by_pair) for by_pair in self._pairs.values())
 
     def total_qualified_pairs(self) -> int:
-        return sum(len(chain)
-                   for by_pair in self._pairs.values()
-                   for chain in by_pair.values())
+        return self._lane_total() + sum(
+            len(chain)
+            for by_pair in self._pairs.values()
+            for chain in by_pair.values())
 
     def max_assumption_set_size(self) -> int:
         sizes = (len(s)
@@ -220,23 +297,20 @@ class QualifiedSolution:
                  for s in chain)
         return max(sizes, default=0)
 
-    def strip(self, table=None) -> PointsToSolution:
+    def strip(self) -> PointsToSolution:
         """Section 4.1's final step: drop assumption sets, dedupe.
 
-        ``table`` (a :class:`~repro.memory.facttable.FactTable`) lets
-        the caller encode the stripped solution against the program's
-        shared id space; omitted, the solution gets a private table.
-
-        Each output's plain pairs are encoded into one bitset and
-        joined with a single word-packed :meth:`~repro.analysis.common.
-        PointsToSolution.join_mask` call, rather than one big-int
-        reallocation per pair.
+        The stripped solution is encoded against the solution's table
+        (the program's shared id space when the analysis supplied it):
+        each output's lane is its bitset as is, and the antichains'
+        plain pairs are ORed in before one
+        :meth:`~repro.analysis.common.PointsToSolution.join_mask` call.
         """
-        solution = PointsToSolution(table)
-        pair_id = solution.table.pair_id
-        for output, by_pair in self._pairs.items():
-            mask = 0
-            for pair in by_pair:
+        solution = PointsToSolution(self.table)
+        pair_id = self.table.pair_id
+        for output in self.outputs():
+            mask = self._lanes.get(output, 0)
+            for pair in self._pairs.get(output, ()):
                 mask |= 1 << pair_id(pair)
             solution.join_mask(output, mask)
         return solution

@@ -31,23 +31,42 @@ Section 4.2's optimizations, on by default and individually toggleable:
 * store pairs the CI analysis proves unmodified by an update pass
   through without acquiring location assumptions.
 
-Like the CI analysis, the solver accepts ``schedule="batched"``
-(default; port-keyed worklist plus a per-port dispatch table bound
-before the run) or ``schedule="fifo"`` (the original one-fact queue).
-Because subsumption makes the amount of work order-dependent, the CS
-counters vary between schedules; the *stripped* solution does not.
+Like the CI analysis, the solver accepts two schedules:
+
+* ``"batched"`` (default) — the **lane engine**.  Facts whose
+  assumption set is empty (*unconditional* facts: most of them, since
+  root procedures assume nothing and §4.2 drops location assumptions
+  at CI-proven single-target operations) travel in a per-output bitset
+  lane over the program's shared
+  :class:`~repro.memory.facttable.FactTable` and are transformed by
+  CI's translation kernels: lookups by ``translate_lookup`` over base
+  slices, writes by ``translate_writes``, strong-update survival by
+  ``kill_mask``, merges, copies and returns by OR.  Only facts that
+  carry assumptions take the per-fact antichain path, and so do the
+  cross terms between the two (a lane batch meeting conditional
+  partners, or a conditional fact meeting a partner lane, of which
+  only the kernel's image is decoded).  Calls are the one place a
+  lane itself is decoded: each actual pair enters a callee formal
+  qualified by ``{(formal, pair)}``.
+* ``"fifo"`` — the original one-fact queue over qualified pairs, kept
+  as the reference implementation.
+
+Both count one ``meets`` per attempted join, as Figure 5 does: a lane
+kernel's image is counted per fact it produces, per location.  Because
+subsumption makes the amount of work order-dependent, the CS counters
+vary between schedules; the *stripped* solution does not.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import AnalysisError
 from ..memory.access import EMPTY_OFFSET, INDEX, AccessPath
-from ..memory.pairs import PointsToPair, direct, pair as make_pair
+from ..memory.facttable import FactTable
+from ..memory.pairs import direct, pair as make_pair
 from ..memory.relations import dom, strong_dom
 from ..ir.graph import FunctionGraph, Program
 from ..ir.nodes import (
@@ -65,14 +84,13 @@ from ..ir.nodes import (
 )
 from .common import (
     AnalysisResult,
-    BatchedWorklist,
     CallGraph,
     Counters,
-    PointsToSolution,
+    LaneWorklist,
     Worklist,
     check_schedule,
 )
-from .insensitive import analyze_insensitive
+from .insensitive import analyze_insensitive, seed_plan
 from .qualified import (
     EMPTY_ASSUMPTIONS,
     Assumption,
@@ -81,8 +99,10 @@ from .qualified import (
     QualifiedSolution,
 )
 
-#: Per-fact handler bound to one (node, role, index) at dispatch-build time.
-FactHandler = Callable[[QualifiedPair], None]
+#: A lane-engine handler consumes one port's pending facts:
+#: ``handler(engine, lane, conditional)`` with the unconditional facts
+#: as a bitset and the facts that carry assumptions as a list.
+LaneHandler = Callable[["SensitiveAnalysis", int, List[QualifiedPair]], None]
 
 
 class PruneInfo:
@@ -90,6 +110,7 @@ class PruneInfo:
 
     def __init__(self, ci_result: AnalysisResult, enabled: bool = True) -> None:
         self.enabled = enabled
+        self.table: FactTable = ci_result.solution.table
         #: Memory operations whose location input resolves to exactly
         #: one location context-insensitively: the same location is
         #: referenced under all calling contexts (footnote 8's standard
@@ -127,6 +148,25 @@ class PruneInfo:
             return False
         return not any(dom(loc, path) for loc in bound)
 
+    def cannot_modify_mask(self, node: UpdateNode, mask: int) -> int:
+        """:meth:`cannot_modify` over a bitset of store facts: the
+        facts no location of the CI bound dominates.  ``kill_mask``
+        classifies by prefix, so it serves as the dominance test; a
+        bare location dominates its whole base slice."""
+        if not self.enabled or not mask:
+            return 0
+        bound = self.modified_bound.get(node)
+        if not bound:
+            return 0
+        table = self.table
+        dominated = 0
+        for loc in bound:
+            same_base = mask & table.base_mask(loc.base)
+            if same_base:
+                dominated |= (table.kill_mask(loc, same_base) if loc.ops
+                              else same_base)
+        return mask & ~dominated
+
 
 class SensitiveAnalysis:
     """One run of the context-sensitive analysis over a program."""
@@ -143,28 +183,32 @@ class SensitiveAnalysis:
             raise AnalysisError("CI result belongs to a different program")
         self.ci_result = ci_result
         self.prune = PruneInfo(ci_result, enabled=optimize)
-        self.solution = QualifiedSolution()
+        self.table = ci_result.solution.table
+        self.solution = QualifiedSolution(self.table)
         #: The call graph is fixed from the CI pass (function values are
         #: context-insensitive in the paper's implementation too).
         self.callgraph = ci_result.callgraph
         self.counters = Counters()
         self.schedule = check_schedule(schedule)
-        self._dispatch: Dict[InputPort, FactHandler] = {}
-        self.worklist: object = (BatchedWorklist()
-                                 if self.schedule == "batched"
+        #: Whether unconditional facts travel in lanes (batched).
+        self._lanes = self.schedule == "batched"
+        self.worklist: object = (LaneWorklist() if self._lanes
                                  else Worklist())
         self.max_transfers = max_transfers
 
     # -- driver -------------------------------------------------------------
 
     def run(self) -> AnalysisResult:
+        table = self.table
+        decode_calls_before = table.decode_calls
+        kernel_calls_before = table.kernel_calls
         started = time.perf_counter()
-        if self.schedule == "fifo":
-            self._run_fifo()
+        if self._lanes:
+            self._run_lanes()
         else:
-            self._run_batched()
+            self._run_fifo()
         elapsed = time.perf_counter() - started
-        stripped = self.solution.strip(self.ci_result.solution.table)
+        stripped = self.solution.strip()
         return AnalysisResult(
             program=self.program,
             solution=stripped,
@@ -179,8 +223,21 @@ class SensitiveAnalysis:
                 "qualified_pair_count": self.solution.total_qualified_pairs(),
                 "max_assumption_set_size":
                     self.solution.max_assumption_set_size(),
+                "dense": {
+                    "fact_ids": table.pair_count(),
+                    "bitset_words": stripped.bitset_words(),
+                    "kernel_calls": table.kernel_calls
+                    - kernel_calls_before,
+                    "decode_calls": table.decode_calls
+                    - decode_calls_before,
+                },
             },
         )
+
+    def _budget_error(self) -> AnalysisError:
+        return AnalysisError(
+            f"context-sensitive analysis exceeded "
+            f"{self.max_transfers} transfer functions")
 
     def _run_fifo(self) -> None:
         self._seed()
@@ -190,32 +247,31 @@ class SensitiveAnalysis:
             self.counters.batches += 1
             if (self.max_transfers is not None
                     and self.counters.transfers > self.max_transfers):
-                raise AnalysisError(
-                    f"context-sensitive analysis exceeded "
-                    f"{self.max_transfers} transfer functions")
+                raise self._budget_error()
             self.flow_in(input_port, fact)
 
-    def _run_batched(self) -> None:
-        dispatch = self._dispatch
-        self._seed()
+    def _run_lanes(self) -> None:
+        entries, extra = seed_plan(self.program, self.table)
+        for output, mask in entries:
+            self.lane_out(output, mask)
+        self.counters.meets += extra
+        # Bound for this run only (see FlowInsensitiveAnalysis).
+        dispatch: Dict[InputPort, LaneHandler] = {}
         worklist = self.worklist
+        pop = worklist.pop
         counters = self.counters
         max_transfers = self.max_transfers
-        bind_node = self._bind_node
         while worklist:
-            input_port, facts = worklist.pop()
+            input_port, lane, cond = pop()
             counters.batches += 1
-            counters.transfers += len(facts)
+            counters.transfers += lane.bit_count() + len(cond)
             if (max_transfers is not None
                     and counters.transfers > max_transfers):
-                raise AnalysisError(
-                    f"context-sensitive analysis exceeded "
-                    f"{max_transfers} transfer functions")
+                raise self._budget_error()
             handler = dispatch.get(input_port)
             if handler is None:
-                handler = bind_node(input_port)
-            for qp in facts:
-                handler(qp)
+                handler = self._bind_node(dispatch, input_port)
+            handler(self, lane, cond)
 
     def _seed(self) -> None:
         for node in self.program.address_nodes():
@@ -229,6 +285,9 @@ class SensitiveAnalysis:
     # -- propagation -----------------------------------------------------------
 
     def flow_out(self, output: OutputPort, qp: QualifiedPair) -> None:
+        if self._lanes and not qp.assumptions:
+            self.lane_out(output, 1 << self.table.pair_id(qp.pair))
+            return
         self.counters.meets += 1
         if not self.solution.add(output, qp):
             return
@@ -236,81 +295,139 @@ class SensitiveAnalysis:
         for consumer in output.consumers:
             self.worklist.push(consumer, qp)
 
+    def lane_out(self, output: OutputPort, mask: int) -> None:
+        """Join unconditional facts into the output's lane: one meet
+        per fact, and each consumer notified once with the delta."""
+        if not mask:
+            return
+        counters = self.counters
+        counters.meets += mask.bit_count()
+        new = self.solution.join_lane(output, mask)
+        if not new:
+            return
+        counters.pairs_added += new.bit_count()
+        push_mask = self.worklist.push_mask
+        for consumer in output.consumers:
+            push_mask(consumer, new)
+
+    def _emit_mask(self, output: OutputPort, mask: int,
+                   a_l: AssumptionSet) -> None:
+        """Emit a kernel image under assumptions ``a_l``: into the lane
+        when there are none, else decoded fact by fact."""
+        if not mask:
+            return
+        if not a_l:
+            self.lane_out(output, mask)
+            return
+        for pair in self.table.decode_pairs(mask):
+            self.flow_out(output, QualifiedPair(pair, a_l))
+
     def _qpairs(self, input_port: Optional[InputPort]) -> List[QualifiedPair]:
         if input_port is None or input_port.source is None:
             return []
         return list(self.solution.qualified_pairs(input_port.source))
 
-    # -- batched dispatch ----------------------------------------------------
+    def _chain_qpairs(self, input_port: Optional[InputPort]
+                      ) -> List[QualifiedPair]:
+        """The antichain-held facts feeding ``input_port`` (every fact
+        under fifo; only those with assumptions beside a lane)."""
+        if input_port is None or input_port.source is None:
+            return []
+        return self.solution.chain_pairs(input_port.source)
 
-    def _bind_node(self, input_port: InputPort) -> FactHandler:
-        """Bind handlers for one node, on the first fact to reach it.
+    # -- lane dispatch -------------------------------------------------------
 
-        Unlike the CI analysis, handlers stay per-fact (assumption
-        chaining and subsumption make batch-level set algebra
-        unprofitable); the win is replacing the per-event
-        ``isinstance`` chain and port-identity scans with a single
-        dict lookup.  Binding is lazy per node — see the CI analysis
-        for why that matters on small programs."""
-        dispatch = self._dispatch
-        for port, role, index in input_roles(input_port.node):
-            dispatch[port] = self._make_handler(input_port.node, role, index)
+    def _bind_node(self, dispatch: Dict[InputPort, LaneHandler],
+                   input_port: InputPort) -> LaneHandler:
+        """Bind lane handlers for one node, on the first fact to reach
+        it (lazily, as the CI analysis does)."""
+        node = input_port.node
+        for port, role, index in input_roles(node):
+            dispatch[port] = _make_lane_handler(node, role, index,
+                                                self.table)
         handler = dispatch.get(input_port)
         if handler is None:
             raise AnalysisError(
-                f"qualified pair at unexpected node {input_port.node!r}")
+                f"qualified pair at unexpected node {node!r}")
         return handler
 
-    def _make_handler(self, node: Node, role: str, index: int) -> FactHandler:
-        if role == "lookup.loc":
-            return partial(self._lookup_loc, node)
-        if role == "lookup.store":
-            return partial(self._lookup_store, node)
-        if role == "update.loc":
-            return partial(self._update_loc, node)
-        if role == "update.store":
-            return partial(self._update_store, node)
-        if role == "update.value":
-            return partial(self._update_value, node)
-        if role == "call.fcn":
-            return _consume_q  # call graph is fixed from the CI pass
-        if role == "call.store":
-            return partial(self._call_store, node)
-        if role == "call.arg":
-            return partial(self._call_arg, node, index)
-        if role == "return.value":
-            return partial(self._return_value, node)
-        if role == "return.store":
-            return partial(self._return_store, node)
-        if role == "merge.pred":
-            return _consume_q  # predicate is ignored (Figure 1)
-        if role == "merge.branch":
-            return partial(self.flow_out, node.out)
-        if role == "primop.operand":
-            return self._make_primop_handler(node, index)
+    # -- lane transfer functions ---------------------------------------------
+    #
+    # Each takes one location (ε, r_l) with its (already pruned)
+    # assumptions a_l, and the partner input as a lane bitset plus
+    # conditional facts.  Lane x lane runs on CI's kernels; anything
+    # involving assumptions is per fact.
 
-        def handler(qp: QualifiedPair) -> None:
-            raise AnalysisError(f"qualified pair at unexpected node {node!r}")
-        return handler
+    def _lookup_into(self, out: OutputPort, r_l: AccessPath,
+                     a_l: AssumptionSet, lane: int,
+                     cond: List[QualifiedPair]) -> None:
+        if lane:
+            candidates = lane & self.table.base_mask(r_l.base)
+            if candidates:
+                self._emit_mask(out, self.table.translate_lookup(
+                    r_l, candidates), a_l)
+        for sq in cond:
+            path = sq.pair.path
+            if dom(r_l, path):
+                self.flow_out(out, QualifiedPair(
+                    make_pair(path.subtract(r_l), sq.pair.referent),
+                    a_l | sq.assumptions))
 
-    def _make_primop_handler(self, node: PrimopNode, index: int) -> FactHandler:
-        semantics = node.semantics
-        if semantics is PrimopSemantics.OPAQUE:
-            return _consume_q
-        if semantics is PrimopSemantics.COPY:
-            if node.copy_operand is not None and index != node.copy_operand:
-                return _consume_q  # consumed, but pairs do not flow
-            return partial(self.flow_out, node.out)
-        if semantics is PrimopSemantics.EXTRACT:
-            return partial(self._primop_extract, node)
-        if semantics is PrimopSemantics.FIELD:
-            return partial(self._primop_field, node)
-        if semantics is PrimopSemantics.INDEX:
-            return partial(self._primop_index, node)
+    def _write_into(self, node: UpdateNode, r_l: AccessPath,
+                    a_l: AssumptionSet, lane: int,
+                    cond: List[QualifiedPair]) -> None:
+        ostore = node.ostore
+        if lane:
+            self._emit_mask(ostore, self.table.translate_writes(r_l, lane),
+                            a_l)
+        for vq in cond:
+            self.flow_out(ostore, QualifiedPair(
+                make_pair(r_l.append(vq.pair.path), vq.pair.referent),
+                a_l | vq.assumptions))
 
-        def handler(qp: QualifiedPair) -> None:  # pragma: no cover
-            raise AnalysisError(f"unknown primop semantics {semantics!r}")
-        return handler
+    def _lane_killed(self, r_l: AccessPath, mask: int) -> int:
+        """The store facts in ``mask`` that location ``r_l`` strongly
+        updates (``strong_dom``): a bare strongly-updateable location
+        kills its whole base slice, a longer one what it prefixes."""
+        if not r_l.strongly_updateable:
+            return 0
+        same_base = mask & self.table.base_mask(r_l.base)
+        if not same_base or not r_l.ops:
+            return same_base
+        return self.table.kill_mask(r_l, same_base)
+
+    def _survive_lane(self, node: UpdateNode, r_l: AccessPath,
+                      a_l: AssumptionSet, lane: int,
+                      pass_through: int) -> None:
+        """:meth:`_update_survive` for a lane of store facts, whose
+        ``pass_through`` part CI proves unmodified (and has already
+        been emitted)."""
+        rest = lane & ~pass_through
+        if rest:
+            self._emit_mask(node.ostore,
+                            rest & ~self._lane_killed(r_l, rest), a_l)
+
+    def _locations(self, node: Node, lane: int,
+                   cond: List[QualifiedPair]
+                   ) -> List[Tuple[AccessPath, AssumptionSet]]:
+        """The location facts among a lane and conditional facts, as
+        ``(r_l, a_l)``: lane referents assume nothing, and a conditional
+        direct fact keeps its assumptions unless §4.2 drops them."""
+        locs = [(r_l, EMPTY_ASSUMPTIONS)
+                for r_l in self.table.direct_referents(lane)] if lane else []
+        for lq in cond:
+            if lq.pair.path is EMPTY_OFFSET:
+                locs.append((lq.pair.referent,
+                             self._loc_assumptions(node, lq.assumptions)))
+        return locs
+
+    def _partner(self, source: Optional[OutputPort]):
+        """A partner input's facts: its lane and its conditional
+        facts."""
+        if source is None:
+            return 0, []
+        return (self.solution.lane_mask(source),
+                self.solution.chain_pairs(source))
 
     # -- transfer functions (flow-in, Figure 5) -----------------------------------
 
@@ -476,10 +593,10 @@ class SensitiveAnalysis:
         # Targeted form of Figure 5's "for each r ∈ returns c ...": only
         # return pairs assuming exactly (formal, pair) can be affected.
         if ret.value is not None:
-            for rp in self._qpairs(ret.value):
+            for rp in self._chain_qpairs(ret.value):
                 if assumption in rp.assumptions:
                     self._propagate_return(call, callee, rp, call.out)
-        for rp in self._qpairs(ret.store):
+        for rp in self._chain_qpairs(ret.store):
             if assumption in rp.assumptions:
                 self._propagate_return(call, callee, rp, call.ostore)
 
@@ -585,8 +702,160 @@ class SensitiveAnalysis:
             direct(qp.pair.referent.extend(INDEX)), qp.assumptions))
 
 
-def _consume_q(qp: QualifiedPair) -> None:
+def _consume(eng: SensitiveAnalysis, lane: int,
+             cond: List[QualifiedPair]) -> None:
     """Handler for ports that consume facts without producing pairs."""
+
+
+def _make_lane_handler(node: Node, role: str, index: int,
+                       table: FactTable) -> LaneHandler:
+    """Build the lane handler for one ``(node, role)`` port."""
+    if role == "lookup.loc":
+        out = node.out
+        store_src = node.store.source
+
+        def handler(eng, lane, cond):
+            if store_src is None:
+                return
+            s_lane, s_cond = eng._partner(store_src)
+            for r_l, a_l in eng._locations(node, lane, cond):
+                eng._lookup_into(out, r_l, a_l, s_lane, s_cond)
+        return handler
+
+    if role == "lookup.store":
+        out = node.out
+        loc_src = node.loc.source
+
+        def handler(eng, lane, cond):
+            for r_l, a_l in eng._locations(node, *eng._partner(loc_src)):
+                eng._lookup_into(out, r_l, a_l, lane, cond)
+        return handler
+
+    if role == "update.loc":
+        store_src = node.store.source
+        value_src = node.value.source
+
+        def handler(eng, lane, cond):
+            v_lane, v_cond = eng._partner(value_src)
+            s_lane, s_cond = eng._partner(store_src)
+            kept = eng.prune.cannot_modify_mask(node, s_lane)
+            for r_l, a_l in eng._locations(node, lane, cond):
+                eng._write_into(node, r_l, a_l, v_lane, v_cond)
+                eng.lane_out(node.ostore, kept)
+                eng._survive_lane(node, r_l, a_l, s_lane, kept)
+                if s_cond:
+                    lq = QualifiedPair(direct(r_l), a_l)
+                    for sq in s_cond:
+                        eng._update_survive(node, lq, sq)
+        return handler
+
+    if role == "update.store":
+        loc_src = node.loc.source
+
+        def handler(eng, lane, cond):
+            locs = eng._locations(node, *eng._partner(loc_src))
+            if not locs:
+                return  # CWZ90: store facts wait for a location
+            kept = eng.prune.cannot_modify_mask(node, lane)
+            eng.lane_out(node.ostore, kept)
+            for r_l, a_l in locs:
+                eng._survive_lane(node, r_l, a_l, lane, kept)
+            for sq in cond:
+                eng._update_store(node, sq)
+        return handler
+
+    if role == "update.value":
+        loc_src = node.loc.source
+
+        def handler(eng, lane, cond):
+            for r_l, a_l in eng._locations(node, *eng._partner(loc_src)):
+                eng._write_into(node, r_l, a_l, lane, cond)
+        return handler
+
+    if role in ("call.arg", "call.store"):
+        decode = table.decode_pairs
+
+        def handler(eng, lane, cond):
+            callees = eng.callgraph.callees(node)
+            if not callees:
+                return
+            facts = [QualifiedPair(pair) for pair in decode(lane)] \
+                if lane else []
+            facts += cond
+            for qp in facts:
+                for callee in callees:
+                    formal = (callee.store_formal if index < 0
+                              else callee.corresponding_formal(index))
+                    if formal is not None:
+                        eng._into_formal(node, callee, formal, qp)
+        return handler
+
+    if role in ("return.value", "return.store"):
+        graph = node.graph
+        to_value = role == "return.value"
+
+        def handler(eng, lane, cond):
+            for call in eng.callgraph.callers(graph):
+                target = call.out if to_value else call.ostore
+                eng.lane_out(target, lane)
+                for qp in cond:
+                    eng._propagate_return(call, graph, qp, target)
+        return handler
+
+    if role in ("call.fcn", "merge.pred"):
+        # The call graph is fixed from the CI pass; predicates are
+        # ignored (Figure 1).
+        return _consume
+
+    if role == "merge.branch":
+        return _make_copy_handler(node.out)
+
+    if role == "primop.operand":
+        return _make_primop_handler(node, index, table)
+
+    def handler(eng, lane, cond):
+        raise AnalysisError(f"qualified pair at unexpected node {node!r}")
+    return handler
+
+
+def _make_copy_handler(out: OutputPort) -> LaneHandler:
+    def handler(eng, lane, cond):
+        eng.lane_out(out, lane)
+        for qp in cond:
+            eng.flow_out(out, qp)
+    return handler
+
+
+def _make_primop_handler(node: PrimopNode, index: int,
+                         table: FactTable) -> LaneHandler:
+    semantics = node.semantics
+    out = node.out
+    if semantics is PrimopSemantics.OPAQUE:
+        return _consume
+    if semantics is PrimopSemantics.COPY:
+        if node.copy_operand is not None and index != node.copy_operand:
+            return _consume  # consumed, but pairs do not flow
+        return _make_copy_handler(out)
+    if semantics is PrimopSemantics.EXTRACT:
+        op, kernel = node.field_op, table.translate_extract
+        per_fact = SensitiveAnalysis._primop_extract
+    elif semantics is PrimopSemantics.FIELD:
+        op, kernel = node.field_op, table.translate_extend
+        per_fact = SensitiveAnalysis._primop_field
+    elif semantics is PrimopSemantics.INDEX:
+        op, kernel = INDEX, table.translate_extend
+        per_fact = SensitiveAnalysis._primop_index
+    else:  # pragma: no cover - future semantics
+        def handler(eng, lane, cond):
+            raise AnalysisError(f"unknown primop semantics {semantics!r}")
+        return handler
+
+    def handler(eng, lane, cond):
+        if lane:
+            eng.lane_out(out, kernel(op, lane))
+        for qp in cond:
+            per_fact(eng, node, qp)
+    return handler
 
 
 def analyze_sensitive(program: Program,

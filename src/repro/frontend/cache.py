@@ -57,7 +57,11 @@ from ..ir.graph import Program
 #: (``analysis/incremental.py``) persists per-SCC analysis summaries
 #: next to cached programs — bumped so lowered programs and the
 #: summary store they anchor start from one coherent generation.
-LOWERING_VERSION = 5
+#: v6: ports pickle without their links, which each function graph
+#: restores from a flat list (pickling no longer recurses once per
+#: dataflow hop, so long functions neither overflow nor need a raised
+#: recursion limit).
+LOWERING_VERSION = 6
 
 #: :class:`~repro.frontend.lower.ModuleLowerer`'s option defaults.
 #: :func:`compute_key` skips an option passed at its default, so an
@@ -257,8 +261,8 @@ def store_program(cache_dir: Path, key: str, program: Program) -> bool:
     """Write a program to the cache atomically; returns success.
 
     Failures (unwritable directory, unpicklable payload, recursion
-    depth on pathological graphs) are swallowed: the cache is an
-    optimization, never a correctness dependency.
+    depth on pathologically nested values) are swallowed: the cache is
+    an optimization, never a correctness dependency.
     """
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -272,19 +276,14 @@ def store_program(cache_dir: Path, key: str, program: Program) -> bool:
         for attempt in (0, 1):
             fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
             try:
-                # Port/node graphs are deeply linked; give pickle
-                # headroom.
-                limit = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(limit, 100_000))
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        # Protocol 5 explicitly: framed out-of-band-
-                        # capable format with the fastest load path,
-                        # independent of what HIGHEST_PROTOCOL
-                        # resolves to.
-                        pickle.dump(program, fh, protocol=5)
-                finally:
-                    sys.setrecursionlimit(limit)
+                with os.fdopen(fd, "wb") as fh:
+                    # Protocol 5 explicitly: framed out-of-band-capable
+                    # format with the fastest load path, independent of
+                    # what HIGHEST_PROTOCOL resolves to.  A structure
+                    # nested deeper than the recursion limit (say, a
+                    # type thousands of levels deep) raises
+                    # RecursionError: the store is skipped below.
+                    pickle.dump(program, fh, protocol=5)
                 entry = _entry_path(cache_dir, key)
                 try:
                     os.replace(tmp_name, entry)

@@ -34,6 +34,7 @@ pointers (``qsort``).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -1908,9 +1909,22 @@ def _is_null_constant(expr, types: TypeContext) -> bool:
 def lower_ast(ast: c_ast.FileAST, name: str = "<program>",
               **options) -> Program:
     """Lower a parsed translation unit to an analyzable program."""
-    program = ModuleLowerer(ast, name, **options).run()
+    with _recursion_guard(name):
+        program = ModuleLowerer(ast, name, **options).run()
     program.source_lines = 0
     return program
+
+
+@contextmanager
+def _recursion_guard(filename: str):
+    """Report a recursion-limit overflow while lowering (a construct
+    nested too deep to walk) as a :class:`LoweringError` naming the
+    file, not a bare ``RecursionError``."""
+    try:
+        yield
+    except RecursionError:
+        raise LoweringError("nesting too deep to lower (recursion limit "
+                            "exceeded)", filename) from None
 
 
 def lower_units(units: Sequence[Tuple[Path, str]], name: str, timer,
@@ -1927,13 +1941,13 @@ def lower_units(units: Sequence[Tuple[Path, str]], name: str, timer,
     for path, processed in units:
         with timer.phase("parse"):
             ast = parse_preprocessed(processed, str(path))
-        with timer.phase("lower"):
+        with timer.phase("lower"), _recursion_guard(str(path)):
             lowerer = ModuleLowerer(ast, name, linkage=linkage,
                                     tu_name=path.stem, **options)
             lowerer.collect()
         lowerers.append(lowerer)
 
-    with timer.phase("lower"):
+    with timer.phase("lower"), _recursion_guard(name):
         _link_recursion(lowerers, linkage)
         for lowerer in lowerers:
             lowerer.lower_bodies()

@@ -27,6 +27,11 @@ def parse_preprocessed(text: str, filename: str = "<text>") -> c_ast.FileAST:
         # Some malformed inputs trip pycparser-internal assertions
         # rather than its ParseError; surface them uniformly.
         raise ParseError(f"parser assertion: {exc}", filename) from exc
+    except RecursionError:
+        # pycparser descends recursively: deep nesting (parentheses,
+        # blocks) exhausts the interpreter's recursion limit.
+        raise ParseError("nesting too deep to parse (recursion limit "
+                         "exceeded)", filename) from None
     except PycParseError as exc:
         message = str(exc)
         line: Optional[int] = None

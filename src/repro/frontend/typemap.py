@@ -90,27 +90,41 @@ class TypeContext:
     # -- main entry ------------------------------------------------------------
 
     def type_of(self, node) -> CType:
-        """Elaborate any pycparser type node."""
+        """Elaborate any pycparser type node.
+
+        Declarator chains (pointers, arrays, type names, declarations)
+        are walked in a loop, outermost first, and the derived types
+        built innermost first: a type nested thousands of levels deep
+        costs no stack."""
+        #: One entry per pointer (None) or array ((length,)) level.
+        derived: List[Optional[Tuple[Optional[int]]]] = []
+        while True:
+            if isinstance(node, (c_ast.Typename, c_ast.Decl)):
+                node = node.type
+            elif isinstance(node, c_ast.PtrDecl):
+                derived.append(None)
+                node = node.type
+            elif isinstance(node, c_ast.ArrayDecl):
+                derived.append((None if node.dim is None
+                                else self.const_eval(node.dim),))
+                node = node.type
+            else:
+                break
         if isinstance(node, c_ast.TypeDecl):
-            return self._base_type(node.type)
-        if isinstance(node, c_ast.PtrDecl):
-            return PointerType(self.type_of(node.type))
-        if isinstance(node, c_ast.ArrayDecl):
-            length = None
-            if node.dim is not None:
-                length = self.const_eval(node.dim)
-            return ArrayType(self.type_of(node.type), length)
-        if isinstance(node, c_ast.FuncDecl):
-            return self._function_type(node)
-        if isinstance(node, c_ast.Typename):
-            return self.type_of(node.type)
-        if isinstance(node, c_ast.Decl):
-            return self.type_of(node.type)
-        if isinstance(node, (c_ast.Struct, c_ast.Union, c_ast.Enum,
-                             c_ast.IdentifierType)):
-            return self._base_type(node)
-        raise TypeError_(f"cannot elaborate type node {type(node).__name__}",
-                         line=getattr(getattr(node, "coord", None), "line", None))
+            ctype = self._base_type(node.type)
+        elif isinstance(node, c_ast.FuncDecl):
+            ctype = self._function_type(node)
+        elif isinstance(node, (c_ast.Struct, c_ast.Union, c_ast.Enum,
+                               c_ast.IdentifierType)):
+            ctype = self._base_type(node)
+        else:
+            raise TypeError_(
+                f"cannot elaborate type node {type(node).__name__}",
+                line=getattr(getattr(node, "coord", None), "line", None))
+        for level in reversed(derived):
+            ctype = (PointerType(ctype) if level is None
+                     else ArrayType(ctype, level[0]))
+        return ctype
 
     def _base_type(self, node) -> CType:
         if isinstance(node, c_ast.IdentifierType):

@@ -25,9 +25,9 @@ reversible monkey-patch installing one plausible analysis bug:
   is exactly the tooth it exists to prove.
 
 * ``cs-survive-dom`` — the context-sensitive survive rule tests plain
-  ``dom`` instead of ``strong_dom``, so a may-alias location pair is
-  treated as a must-overwrite and qualified store pairs vanish from
-  update outputs.  The CI result is untouched, which makes this the
+  ``dom`` instead of ``strong_dom`` (per fact, and in the lane's kill
+  mask), so a may-alias location pair is treated as a must-overwrite
+  and qualified store pairs vanish from update outputs.  The CI result is untouched, which makes this the
   regression target for :func:`repro.analysis.verify.verify_qualified`:
   the qualified-pair fixpoint check must flag the missing facts.
 
@@ -90,6 +90,7 @@ def drop_alias_deps():
 def cs_survive_dom():
     """CS survive rule uses may-alias ``dom`` as if it were must-alias."""
     original = SensitiveAnalysis._update_survive
+    original_lane = SensitiveAnalysis._lane_killed
 
     def broken(self, node, lp, sp):
         if self.prune.cannot_modify(node, sp.pair.path):
@@ -101,11 +102,19 @@ def cs_survive_dom():
         self.flow_out(node.ostore,
                       QualifiedPair(sp.pair, a_l | sp.assumptions))
 
+    def broken_lane(self, r_l, mask):
+        same_base = mask & self.table.base_mask(r_l.base)
+        if not same_base or not r_l.ops:   # no strongly_updateable test
+            return same_base
+        return self.table.kill_mask(r_l, same_base)
+
     SensitiveAnalysis._update_survive = broken
+    SensitiveAnalysis._lane_killed = broken_lane
     try:
         yield
     finally:
         SensitiveAnalysis._update_survive = original
+        SensitiveAnalysis._lane_killed = original_lane
 
 
 #: Name → context-manager factory, for ``repro fuzz --mutate``.

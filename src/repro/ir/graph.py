@@ -114,6 +114,34 @@ class FunctionGraph:
             if isinstance(node, (LookupNode, UpdateNode)):
                 yield node
 
+    # -- pickling ---------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        # Ports pickle without their links (see OutputPort); the links
+        # travel here, flat, after the nodes: every output with its
+        # consumers in their original order (consumer order is the
+        # solvers' visit order), and every input fed by nothing.
+        state = self.__dict__.copy()
+        state["_links"] = [(output, output.consumers)
+                           for node in self.nodes
+                           for output in node.outputs]
+        state["_unfed"] = [port for node in self.nodes
+                           for port in node.inputs if port.source is None]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        links = state.pop("_links", ())
+        unfed = state.pop("_unfed", ())
+        self.__dict__.update(state)
+        # Only the ports themselves are touched: a pickle that reached
+        # this graph through one of its nodes has not built them yet.
+        for output, consumers in links:
+            output.consumers = consumers
+            for port in consumers:
+                port.source = output
+        for port in unfed:
+            port.source = None
+
     def __repr__(self) -> str:
         return f"<FunctionGraph {self.name}: {len(self.nodes)} nodes>"
 

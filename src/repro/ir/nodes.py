@@ -70,6 +70,15 @@ class OutputPort:
     def __repr__(self) -> str:
         return f"{self.node!r}.{self.name}"
 
+    # Pickling leaves out the consumer links: following them would make
+    # pickle recurse once per port-to-port hop, as deep as the longest
+    # dataflow chain.  The owning FunctionGraph restores them flat.
+
+    def __getstate__(self) -> tuple:
+        return None, {"node": self.node, "name": self.name,
+                      "tag": self.tag,
+                      "carries_pointers": self.carries_pointers}
+
 
 class InputPort:
     """A value consumed by a node; fed by exactly one output."""
@@ -89,6 +98,10 @@ class InputPort:
 
     def __repr__(self) -> str:
         return f"{self.node!r}.{self.name}<-"
+
+    def __getstate__(self) -> tuple:
+        # The source link is restored by the owning FunctionGraph.
+        return None, {"node": self.node, "name": self.name}
 
 
 class Node:

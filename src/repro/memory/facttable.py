@@ -25,7 +25,7 @@ decodes to the same facts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .access import AccessPath
 from .pairs import PointsToPair, direct as _direct, pair as _make_pair
@@ -174,6 +174,11 @@ class FactTable:
             else:
                 self._target_path_ids.append(-1)
         return ident
+
+    def id_of(self, pair: PointsToPair) -> Optional[int]:
+        """The pair's id, or ``None`` if it was never interned here
+        (a query that must not grow the table)."""
+        return self._pair_ids.get(pair)
 
     def base_mask(self, base: object) -> int:
         """Bitset of every known pair whose path is rooted at ``base``."""

@@ -11,6 +11,12 @@ quietly weakens a transfer function.
 Schedule-dependent quantities (``meets``; all CS counters, because
 subsumption order varies) are deliberately NOT compared — see
 DESIGN.md's "Engineering the fixpoint".
+
+The suite's CS facts are mostly conditional (24% carry no
+assumptions), so the batched CS engine's unconditional lane is also
+compared on generated programs, whose code sits mostly in ``main`` and
+whose CS facts are mostly unconditional: three of the daemon's
+fresh-program class (500-node generator programs) and a few small ones.
 """
 
 import pytest
@@ -20,6 +26,8 @@ from repro.analysis.clients.modref import modref
 from repro.analysis.flowinsensitive import analyze_flowinsensitive
 from repro.analysis.insensitive import analyze_insensitive
 from repro.analysis.sensitive import analyze_sensitive
+from repro.frontend.pipeline import lower_source
+from repro.fuzz.generator import generate_program
 from repro.ir.nodes import CallNode
 from repro.suite.registry import PROGRAM_NAMES, load_program
 
@@ -64,6 +72,56 @@ def _defuse_snapshot(result):
     return snapshot
 
 
+def _assert_cs_identical(program, ci, other):
+    batched = analyze_sensitive(program, ci_result=ci, schedule="batched")
+    alt = analyze_sensitive(program, ci_result=ci, schedule=other)
+    assert _solution_snapshot(batched) == _solution_snapshot(alt)
+    # Subsumption leaves the same antichains whatever the order.
+    for key in ("qualified_pair_count", "max_assumption_set_size"):
+        assert batched.extras[key] == alt.extras[key], key
+
+
+def _assert_fi_identical(program, other):
+    batched = analyze_flowinsensitive(program, schedule="batched")
+    alt = analyze_flowinsensitive(program, schedule=other)
+    assert _solution_snapshot(batched) == _solution_snapshot(alt)
+    assert _callgraph_snapshot(batched) == _callgraph_snapshot(alt)
+    assert (batched.extras["global_store_pairs"]
+            == alt.extras["global_store_pairs"])
+    # FI transfers follow the final value sets, whatever the order.
+    assert batched.counters.transfers == alt.counters.transfers
+    assert batched.counters.pairs_added == alt.counters.pairs_added
+
+
+#: ``(seed, max_nodes)`` of the generated programs: the fresh-program
+#: class at 500 nodes, then small ones.
+GENERATED = [(1, 500), (2, 500), (3, 500),
+             (11, 60), (12, 60), (13, 80), (14, 80), (15, 120)]
+
+_generated_cache = {}
+
+
+def _generated(seed, max_nodes):
+    key = (seed, max_nodes)
+    if key not in _generated_cache:
+        source = generate_program(seed, max_nodes).source
+        program = lower_source(source, f"gen{seed}.c")
+        _generated_cache[key] = (program, analyze_insensitive(program))
+    return _generated_cache[key]
+
+
+@pytest.mark.parametrize("other", OTHER_SCHEDULES)
+@pytest.mark.parametrize("seed,max_nodes", GENERATED)
+class TestGeneratedPrograms:
+    def test_cs_identical(self, seed, max_nodes, other):
+        program, ci = _generated(seed, max_nodes)
+        _assert_cs_identical(program, ci, other)
+
+    def test_fi_identical(self, seed, max_nodes, other):
+        program, _ = _generated(seed, max_nodes)
+        _assert_fi_identical(program, other)
+
+
 @pytest.mark.parametrize("other", OTHER_SCHEDULES)
 @pytest.mark.parametrize("name", PROGRAM_NAMES)
 class TestScheduleEquivalence:
@@ -81,16 +139,10 @@ class TestScheduleEquivalence:
     def test_cs_identical(self, name, other):
         program = load_program(name)
         ci = analyze_insensitive(program)
-        batched = analyze_sensitive(program, ci_result=ci,
-                                    schedule="batched")
-        alt = analyze_sensitive(program, ci_result=ci, schedule=other)
-        assert _solution_snapshot(batched) == _solution_snapshot(alt)
+        _assert_cs_identical(program, ci, other)
 
     def test_fi_identical(self, name, other):
-        program = load_program(name)
-        batched = analyze_flowinsensitive(program, schedule="batched")
-        alt = analyze_flowinsensitive(program, schedule=other)
-        assert _solution_snapshot(batched) == _solution_snapshot(alt)
+        _assert_fi_identical(load_program(name), other)
 
     def test_clients_identical(self, name, other):
         program = load_program(name)

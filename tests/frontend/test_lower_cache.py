@@ -394,3 +394,43 @@ class TestCachedProgramFidelity:
                 (len(r.solution.pairs(o))
                  for o in r.solution.outputs()))
             assert census(a) == census(b)
+
+
+_LONG_FUNCTION_STATEMENTS = 1300
+
+
+def test_long_function_round_trips_through_the_cache(tmp_path):
+    """Pickling a lowered program must not recurse along its dataflow
+    chains: a straight-line ``main`` of 1,300 statements once overflowed
+    the C stack while being stored.  Runs the CLI in subprocesses (a
+    stack overflow kills the process): a cache miss that stores, a hit,
+    and an uncached run all print the same stdout."""
+    import re
+    import subprocess
+    import sys
+
+    import repro
+
+    body = "\n".join(["  *p = i; q = p;"] * _LONG_FUNCTION_STATEMENTS)
+    path = tmp_path / "long.c"
+    path.write_text("int i; int *p; int *q;\nint main(void) {\n"
+                    f"{body}\n  return 0;\n}}\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p)
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+
+    def run(*extra):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", str(path),
+             "--sensitivity", "insensitive", *extra],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        return re.sub(r"\b\d+\.\d+s\b", "<elapsed>", proc.stdout)
+
+    stored = run()
+    assert list((tmp_path / "cache").glob("*.pkl"))
+    assert run() == stored
+    assert run("--no-cache") == stored
