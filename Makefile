@@ -50,10 +50,13 @@ slice-smoke:
 
 # Checker gate: run all five bug finders over the suite under every
 # flavor and emit a SARIF log; the golden counts live in
-# tests/analysis/checkers/test_suite_goldens.py.
+# tests/analysis/checkers/test_suite_goldens.py.  The log is the largest
+# stdout any gate writes through the CLI's last flush before os._exit,
+# so it must also parse as JSON: a truncated flush fails here.
 check-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro check --flavor all --format sarif > suite-findings.sarif
 	@test -s suite-findings.sarif || (echo "suite-findings.sarif missing" && exit 1)
+	@$(PYTHON) -m json.tool suite-findings.sarif > /dev/null || (echo "suite-findings.sarif is not valid JSON" && exit 1)
 
 tables:
 	$(PYTHON) examples/regenerate_paper_tables.py

@@ -1,7 +1,5 @@
 """Entry point for ``python -m repro``."""
 
-import sys
+from .cli import entry
 
-from .cli import main
-
-sys.exit(main())
+entry()

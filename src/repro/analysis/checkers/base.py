@@ -18,7 +18,6 @@ can be compared across schedules and job counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -37,6 +36,7 @@ from ...memory.base import BaseLocation, LocationKind
 from ...memory.pairs import PointsToPair
 from ...ir.graph import FunctionGraph, Program
 from ...ir.nodes import CallNode, Node, OutputPort
+from ...record import Record
 from ..common import AnalysisResult, CallGraph
 
 #: Severity levels, ordered: "error" marks a must-hazard (every target
@@ -77,8 +77,7 @@ def hazard_cells(program: Program) -> Dict[str, BaseLocation]:
     return program.extras.get("hazard") or {}
 
 
-@dataclass
-class RawFinding:
+class RawFinding(Record):
     """A checker's in-process report: live node, interned path.
 
     ``evidence`` is the (output, pair) fact whose derivation becomes
@@ -86,16 +85,19 @@ class RawFinding:
     is about an *absence* of facts (e.g. an empty call target set).
     """
 
-    checker: str
-    node: Node
-    severity: str
-    message: str
-    path: Optional[AccessPath] = None
-    evidence: Optional[Tuple[OutputPort, PointsToPair]] = None
+    def __init__(self, checker: str, node: Node, severity: str,
+                 message: str, path: Optional[AccessPath] = None,
+                 evidence: Optional[Tuple[OutputPort, PointsToPair]] = None
+                 ) -> None:
+        self.checker = checker
+        self.node = node
+        self.severity = severity
+        self.message = message
+        self.path = path
+        self.evidence = evidence
 
 
-@dataclass
-class Finding:
+class Finding(Record):
     """A rendered finding: plain strings only, safe to pickle across
     worker processes and stable across runs.
 
@@ -105,15 +107,21 @@ class Finding:
     facts it cites are, but the tree shape may differ.
     """
 
-    checker: str
-    flavor: str
-    function: str
-    node: str       # "kind#uid", stable for a deterministic lowering
-    origin: str     # "file:line" source position, "" when unknown
-    path: str       # rendered access path the finding is about
-    severity: str
-    message: str
-    witness: str = ""
+    def __init__(self, checker: str, flavor: str, function: str, node: str,
+                 origin: str, path: str, severity: str, message: str,
+                 witness: str = "") -> None:
+        self.checker = checker
+        self.flavor = flavor
+        self.function = function
+        #: "kind#uid", stable for a deterministic lowering.
+        self.node = node
+        #: "file:line" source position, "" when unknown.
+        self.origin = origin
+        #: Rendered access path the finding is about.
+        self.path = path
+        self.severity = severity
+        self.message = message
+        self.witness = witness
 
     def key(self) -> Tuple[str, ...]:
         """Identity for dedup and digests (witness excluded)."""

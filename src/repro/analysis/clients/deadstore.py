@@ -21,26 +21,28 @@ Caveats, inherited from the may-analysis setting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from ...ir.graph import Program
 from ...ir.nodes import LookupNode, UpdateNode
+from ...record import Record
 from ..common import AnalysisResult
 from ..depgraph import ReachingDefs
 from .defuse import DefUseInfo
 
 
-@dataclass
-class DeadStoreReport:
+class DeadStoreReport(Record):
     """Writes nothing can observe, per the points-to model."""
 
-    #: Updates whose stored value no read can observe.
-    dead: List[UpdateNode] = field(default_factory=list)
-    #: Updates with an empty location set (null-only dereferences).
-    unreachable: List[UpdateNode] = field(default_factory=list)
-    #: Total writes examined.
-    total: int = 0
+    def __init__(self, dead: Optional[List[UpdateNode]] = None,
+                 unreachable: Optional[List[UpdateNode]] = None,
+                 total: int = 0) -> None:
+        #: Updates whose stored value no read can observe.
+        self.dead = [] if dead is None else dead
+        #: Updates with an empty location set (null-only dereferences).
+        self.unreachable = [] if unreachable is None else unreachable
+        #: Total writes examined.
+        self.total = total
 
     @property
     def live(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -35,6 +34,7 @@ from ..memory.facttable import FactTable, bitset_words, decode_ids
 from ..memory.pairs import PointsToPair
 from ..ir.graph import FunctionGraph, Program
 from ..ir.nodes import CallNode, InputPort, LookupNode, Node, OutputPort, UpdateNode
+from ..record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
@@ -54,8 +54,7 @@ def check_schedule(schedule: str) -> str:
     return schedule
 
 
-@dataclass
-class Counters:
+class Counters(Record):
     """Operation counts the paper compares across the two analyses.
 
     * ``transfers`` — facts processed by ``flow-in``.  The paper: CS
@@ -81,10 +80,12 @@ class Counters:
       keep their original three columns.
     """
 
-    transfers: int = 0
-    meets: int = 0
-    pairs_added: int = 0
-    batches: int = 0
+    def __init__(self, transfers: int = 0, meets: int = 0,
+                 pairs_added: int = 0, batches: int = 0) -> None:
+        self.transfers = transfers
+        self.meets = meets
+        self.pairs_added = pairs_added
+        self.batches = batches
 
     def as_dict(self, extended: bool = False) -> Dict[str, int]:
         base = {"transfers": self.transfers, "meets": self.meets,
@@ -264,18 +265,22 @@ class PointsToSolution:
             yield output, self.pairs(output)
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record):
     """Everything one analysis run produces."""
 
-    program: Program
-    solution: PointsToSolution
-    callgraph: CallGraph
-    counters: Counters
-    elapsed_seconds: float = 0.0
-    #: "insensitive", "sensitive", or "flowinsensitive".
-    flavor: str = "insensitive"
-    extras: dict = field(default_factory=dict)
+    def __init__(self, program: Program, solution: PointsToSolution,
+                 callgraph: CallGraph, counters: Counters,
+                 elapsed_seconds: float = 0.0,
+                 flavor: str = "insensitive",
+                 extras: Optional[dict] = None) -> None:
+        self.program = program
+        self.solution = solution
+        self.callgraph = callgraph
+        self.counters = counters
+        self.elapsed_seconds = elapsed_seconds
+        #: "insensitive", "sensitive", or "flowinsensitive".
+        self.flavor = flavor
+        self.extras = {} if extras is None else extras
 
     @property
     def phases(self) -> Dict[str, float]:

@@ -10,40 +10,45 @@ mod/ref clients see identical answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import AnalysisError
 from ..memory.pairs import PointsToPair
 from ..ir.nodes import Node, OutputPort
+from ..record import Record
 from .common import AnalysisResult
 from .stats import Breakdown, PairCensus, indirect_operations, pair_census
 
 
-@dataclass
-class IndirectOpDiff:
+class IndirectOpDiff(Record):
     """A memory operation where CI and CS disagree (none expected on
     the paper's suite, but the adversarial programs produce them)."""
 
-    node: Node
-    ci_locations: Set
-    cs_locations: Set
+    def __init__(self, node: Node, ci_locations: Set,
+                 cs_locations: Set) -> None:
+        self.node = node
+        self.ci_locations = ci_locations
+        self.cs_locations = cs_locations
 
     @property
     def extra(self) -> Set:
         return self.ci_locations - self.cs_locations
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(Record):
     """Everything Figure 6 and §4.3 report for one program."""
 
-    program_name: str
-    ci_census: PairCensus
-    cs_census: PairCensus
-    spurious_pairs: int
-    spurious_by_output: Dict[OutputPort, Set[PointsToPair]]
-    indirect_diffs: List[IndirectOpDiff] = field(default_factory=list)
+    def __init__(self, program_name: str, ci_census: PairCensus,
+                 cs_census: PairCensus, spurious_pairs: int,
+                 spurious_by_output: Dict[OutputPort, Set[PointsToPair]],
+                 indirect_diffs: Optional[List[IndirectOpDiff]] = None
+                 ) -> None:
+        self.program_name = program_name
+        self.ci_census = ci_census
+        self.cs_census = cs_census
+        self.spurious_pairs = spurious_pairs
+        self.spurious_by_output = spurious_by_output
+        self.indirect_diffs = [] if indirect_diffs is None else indirect_diffs
 
     @property
     def total_insensitive(self) -> int:

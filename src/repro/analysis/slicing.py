@@ -20,31 +20,35 @@ so they are identical across schedules, ``--jobs``, and cache states
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..choices import DIRECTIONS
 from ..errors import AnalysisError
+from ..record import Record
 from .common import AnalysisResult
 from .depgraph import DependenceGraph, build_depgraph
 
 
-@dataclass
-class SliceResult:
+class SliceResult(Record):
     """One computed slice, JSON-shaped and digest-stable."""
 
-    program: str
-    flavor: str
-    criterion: str
-    direction: str
-    #: Criterion node keys the traversal started from (sorted).
-    roots: List[str]
-    #: Every node key in the slice (sorted; includes the roots).
-    nodes: List[str]
-    #: Distinct source coordinates covered by the slice (sorted).
-    origins: List[str]
-    #: Edges walked between slice members (sorted (src, dst, kind)).
-    edges: List[Tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, program: str, flavor: str, criterion: str,
+                 direction: str, roots: List[str], nodes: List[str],
+                 origins: List[str],
+                 edges: Optional[List[Tuple[str, str, str]]] = None
+                 ) -> None:
+        self.program = program
+        self.flavor = flavor
+        self.criterion = criterion
+        self.direction = direction
+        #: Criterion node keys the traversal started from (sorted).
+        self.roots = roots
+        #: Every node key in the slice (sorted; includes the roots).
+        self.nodes = nodes
+        #: Distinct source coordinates covered by the slice (sorted).
+        self.origins = origins
+        #: Edges walked between slice members (sorted (src, dst, kind)).
+        self.edges = [] if edges is None else edges
 
     @property
     def size(self) -> int:

@@ -14,12 +14,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AnalysisError
 from ..ir.graph import Program
 from ..ir.nodes import LookupNode, Node, UpdateNode, ValueTag
+from ..record import Record
 from .common import AnalysisResult
 
 
@@ -28,14 +28,15 @@ from .common import AnalysisResult
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProgramSizes:
+class ProgramSizes(Record):
     """One row of Figure 2."""
 
-    name: str
-    source_lines: int
-    vdg_nodes: int
-    alias_related_outputs: int
+    def __init__(self, name: str, source_lines: int, vdg_nodes: int,
+                 alias_related_outputs: int) -> None:
+        self.name = name
+        self.source_lines = source_lines
+        self.vdg_nodes = vdg_nodes
+        self.alias_related_outputs = alias_related_outputs
 
 
 def program_sizes(program: Program) -> ProgramSizes:
@@ -52,15 +53,16 @@ def program_sizes(program: Program) -> ProgramSizes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PairCensus:
+class PairCensus(Record):
     """One row of Figure 3 (or the first five columns of Figure 6)."""
 
-    pointer: int = 0
-    function: int = 0
-    aggregate: int = 0
-    store: int = 0
-    other: int = 0  # pairs on scalar-tagged outputs (should stay zero)
+    def __init__(self, pointer: int = 0, function: int = 0,
+                 aggregate: int = 0, store: int = 0, other: int = 0) -> None:
+        self.pointer = pointer
+        self.function = function
+        self.aggregate = aggregate
+        self.store = store
+        self.other = other  # pairs on scalar-tagged outputs (should stay zero)
 
     @property
     def total(self) -> int:
@@ -93,19 +95,22 @@ def pair_census(result: AnalysisResult) -> PairCensus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IndirectOpStats:
+class IndirectOpStats(Record):
     """One (program, read-or-write) row of Figure 4."""
 
-    kind: str                 # "read" or "write"
-    total: int = 0
-    one: int = 0              # operations referencing exactly 1 location
-    two: int = 0
-    three: int = 0
-    four_plus: int = 0
-    zero: int = 0             # e.g. dereferences of the null pointer only
-    max_locations: int = 0
-    sum_locations: int = 0
+    def __init__(self, kind: str, total: int = 0, one: int = 0,
+                 two: int = 0, three: int = 0, four_plus: int = 0,
+                 zero: int = 0, max_locations: int = 0,
+                 sum_locations: int = 0) -> None:
+        self.kind = kind          # "read" or "write"
+        self.total = total
+        self.one = one            # operations referencing exactly 1 location
+        self.two = two
+        self.three = three
+        self.four_plus = four_plus
+        self.zero = zero          # e.g. dereferences of the null pointer only
+        self.max_locations = max_locations
+        self.sum_locations = sum_locations
 
     @property
     def avg(self) -> float:
@@ -188,8 +193,7 @@ def breakdown_percentages(breakdown: Breakdown) -> Dict[Tuple[str, str], float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StructureStats:
+class StructureStats(Record):
     """§5.1.2's structural explanations, made measurable.
 
     The paper attributes the lack of spurious pairs to benchmark
@@ -200,12 +204,15 @@ class StructureStats:
     (i.e., they reference scalar datatypes)".
     """
 
-    procedures: int = 0
-    called_procedures: int = 0
-    call_edges: int = 0             # distinct (call site, callee) pairs
-    single_caller: int = 0
-    value_pairs: int = 0            # direct pairs on value outputs
-    multi_level_pairs: int = 0      # referent itself holds pointers
+    def __init__(self, procedures: int = 0, called_procedures: int = 0,
+                 call_edges: int = 0, single_caller: int = 0,
+                 value_pairs: int = 0, multi_level_pairs: int = 0) -> None:
+        self.procedures = procedures
+        self.called_procedures = called_procedures
+        self.call_edges = call_edges      # distinct (call site, callee) pairs
+        self.single_caller = single_caller
+        self.value_pairs = value_pairs    # direct pairs on value outputs
+        self.multi_level_pairs = multi_level_pairs  # referent holds pointers
 
     @property
     def avg_callers(self) -> float:
@@ -262,8 +269,7 @@ def structure_stats(result: AnalysisResult) -> StructureStats:
     return stats
 
 
-@dataclass
-class ContextStats:
+class ContextStats(Record):
     """How many contexts the CS analysis actually distinguished.
 
     A procedure's context count is the number of distinct assumption
@@ -272,7 +278,9 @@ class ContextStats:
     sparsity of §5.1.2 keeps small in practice.
     """
 
-    per_procedure: Dict[str, int] = field(default_factory=dict)
+    def __init__(self, per_procedure: Optional[Dict[str, int]] = None
+                 ) -> None:
+        self.per_procedure = {} if per_procedure is None else per_procedure
 
     @property
     def max_contexts(self) -> int:
@@ -303,16 +311,21 @@ def context_stats(cs_result: AnalysisResult) -> ContextStats:
     return stats
 
 
-@dataclass
-class PruningCoverage:
+class PruningCoverage(Record):
     """How widely the §4.2 optimizations apply, from the CI result."""
 
-    indirect_total: int = 0
-    single_location: int = 0           # paper: 87% of indirect ops
-    reads_total: int = 0
-    reads_needing_assumptions: int = 0  # paper: 9% of indirect reads
-    writes_total: int = 0
-    writes_needing_assumptions: int = 0  # paper: 7% of indirect writes
+    def __init__(self, indirect_total: int = 0, single_location: int = 0,
+                 reads_total: int = 0, reads_needing_assumptions: int = 0,
+                 writes_total: int = 0,
+                 writes_needing_assumptions: int = 0) -> None:
+        self.indirect_total = indirect_total
+        self.single_location = single_location  # paper: 87% of indirect ops
+        self.reads_total = reads_total
+        #: Paper: 9% of indirect reads.
+        self.reads_needing_assumptions = reads_needing_assumptions
+        self.writes_total = writes_total
+        #: Paper: 7% of indirect writes.
+        self.writes_needing_assumptions = writes_needing_assumptions
 
     @property
     def single_location_fraction(self) -> float:

@@ -25,21 +25,34 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 #: Modules no warm path may load: numpy (no path needs it), pycparser
 #: and the AST lowering (cache misses only), the process pool, the
-#: experiment drivers, and the incremental engine.
+#: experiment drivers, the incremental engine, and ``dataclasses``
+#: with the ``inspect`` it imports (warm-path modules define plain
+#: classes on ``repro.record.Record``).
 FORBIDDEN = ("numpy", "pycparser", "multiprocessing",
              "repro.frontend.lower", "repro.report.experiments",
-             "repro.analysis.incremental")
+             "repro.analysis.incremental", "dataclasses", "inspect")
 
 #: Runs the given code, then writes the loaded module names to the
-#: file named by the last argument.
+#: file named by the last argument: when the code returns or raises,
+#: or when it ends the process with ``os._exit`` (the CLI's fast exit,
+#: which skips the ``finally``).
 _REPORT = """
-import json, sys
+import json, os, sys
 out = sys.argv.pop()
+
+def report():
+    with open(out, "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+
+def exit_now(status, _exit=os._exit):
+    report()
+    _exit(status)
+
+os._exit = exit_now
 try:
     exec(sys.argv.pop(1))
 finally:
-    with open(out, "w") as fh:
-        json.dump(sorted(sys.modules), fh)
+    report()
 """
 
 #: ``python -m repro ARGS`` (``-m`` runs the package's ``__main__``).
