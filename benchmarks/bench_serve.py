@@ -7,17 +7,20 @@ ephemeral port, throwaway cache directory), then:
    cache: full preprocess/parse/lower/solve in a pool worker;
 2. **warm pass** — the same requests again, repeated: answered from
    the in-memory solution tier without touching the pool;
-3. **mixed phase** — ≥50 concurrent warm/cold ``analyze``/``check``/
-   ``query`` requests (cold via fresh synthetic sources) for a
-   sustained-throughput figure;
-4. **parity** — every served digest (all three flavors, analyze *and*
+3. **parity** — every served digest (all three flavors, analyze *and*
    check) must be byte-identical to a fresh CLI-path run computed in
-   this process with caching disabled.
+   this process with caching disabled, and so must every program's
+   ``/query`` operations and one ``file:line`` ``/slice`` (its slice
+   and graph digests, from the first indirect operation's origin);
+4. **mixed phase** — ≥50 concurrent warm/cold ``analyze``/``check``/
+   ``query``/``slice`` requests (cold via fresh synthetic sources) for
+   a sustained-throughput figure.
 
 Gates (nonzero exit on violation, wired into ``make serve-smoke``):
 
 * warm p50 latency ≥ :data:`SPEEDUP_FLOOR` × faster than cold p50;
-* all served analyze/check digests equal the fresh CLI ones;
+* all served analyze/check digests, query operations and slice
+  digests equal the fresh in-process ones;
 * every mixed-phase request answers 200.
 
 Writes ``BENCH_serve.json`` at the repo root::
@@ -40,9 +43,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.common import solution_digest  # noqa: E402
+from repro.analysis.depgraph import build_depgraph  # noqa: E402
 from repro.analysis.flowinsensitive import analyze_flowinsensitive  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.analysis.sensitive import analyze_sensitive  # noqa: E402
+from repro.analysis.slicing import slice_criterion  # noqa: E402
 from repro.runner import Request, run  # noqa: E402
 from repro.serve import ServeConfig  # noqa: E402
 from repro.serve.http import run_server  # noqa: E402
@@ -111,6 +116,30 @@ def _cli_analyze_digests(name):
     return {"insensitive": solution_digest(ci),
             "sensitive": solution_digest(cs),
             "flowinsensitive": solution_digest(fi)}
+
+
+def _reference_query_and_slice(name):
+    """``/query``'s operations for the whole program, and the
+    ``file:line`` criterion, slice digest and graph digest of a
+    backward slice from the first indirect operation — CI, cache off,
+    straight from the solved result."""
+    result = analyze_insensitive(load_program(name, cache=False))
+    operations = []
+    for function, graph in sorted(result.program.functions.items()):
+        for node in graph.memory_operations():
+            if node.is_indirect:
+                operations.append({
+                    "function": function, "kind": node.kind,
+                    "origin": node.origin or "",
+                    "locations": sorted(
+                        repr(p) for p in result.op_locations(node))})
+    criterion = operations[0]["origin"] if operations else None
+    if not criterion:
+        return operations, None, None
+    graph = build_depgraph(result)
+    sliced = slice_criterion(graph, criterion, "backward")
+    return operations, criterion, {"slice": sliced.digest(),
+                                   "graph": graph.digest()}
 
 
 def _synthetic(tag: int) -> str:
@@ -209,6 +238,35 @@ def main() -> int:
                                 f"digests != fresh CLI digests")
         report["check_parity_programs"] = len(check_served)
 
+        # -- query and slice parity -------------------------------------
+        criteria = {}
+        for name in PROGRAM_NAMES:
+            operations, criterion, sliced = _reference_query_and_slice(
+                name)
+            status, payload, _ = _request(addr, "POST", "/query",
+                                          {"program": name})
+            if status != 200:
+                failures.append(f"query {name}: HTTP {status}")
+            elif payload["operations"] != operations:
+                failures.append(f"query parity {name}: served operations "
+                                f"!= fresh in-process operations")
+            if criterion is None:
+                failures.append(f"slice {name}: no indirect operation "
+                                f"with an origin to slice from")
+                continue
+            criteria[name] = criterion
+            status, payload, _ = _request(
+                addr, "POST", "/slice",
+                {"program": name, "criterion": criterion})
+            if status != 200:
+                failures.append(f"slice {name}: HTTP {status} "
+                                f"({payload.get('error')})")
+            elif {"slice": payload["slice"]["digest"],
+                  "graph": payload["graph"]["digest"]} != sliced:
+                failures.append(f"slice parity {name}: served digests "
+                                f"!= fresh in-process digests")
+        report["query_slice_parity_programs"] = len(criteria)
+
         # -- mixed sustained-load phase ---------------------------------
         bodies = []
         for i in range(MIXED_REQUESTS):
@@ -221,6 +279,9 @@ def main() -> int:
             elif i % 7 == 6:
                 bodies.append(("/query", {"program": name,
                                           "flavor": "insensitive"}))
+            elif i % 4 == 3 and name in criteria:
+                bodies.append(("/slice", {"program": name,
+                                          "criterion": criteria[name]}))
             else:
                 bodies.append(("/analyze", {"program": name}))
 

@@ -2,10 +2,9 @@
 
 Two consumers need the same policy with different substrates:
 
-* the serve daemon's **in-memory** tiers (lowered programs, solved
-  results, response payloads) — :class:`LRUCache`, a thread-safe
-  mapping with byte- and entry-count budgets and explicit
-  hit/miss/eviction counters for telemetry;
+* the serve daemon's **in-memory** response-payload tier —
+  :class:`LRUCache`, a thread-safe mapping with byte- and entry-count
+  budgets and explicit hit/miss/eviction counters for telemetry;
 * the **on-disk** summary store (:mod:`repro.analysis.incremental`)
   — :func:`evict_lru_files`, which applies the identical
   least-recently-*used* rule to a directory of immutable entries

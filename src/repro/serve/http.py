@@ -10,10 +10,12 @@ five routes and its clients are benchmarks, CI smoke, and curl:
   finding digests and counts (findings stay worker-side).
 * ``POST /query`` — location sets for indirect memory operations.
 * ``POST /slice`` — dependence-graph slices from a ``file:line``
-  criterion or a checker finding key (shares ``/query``'s
-  solved-result cache tier).
+  criterion or a checker finding key.
 * ``GET /metrics`` — service counters (queue depth, tier hits,
-  coalesced/shed counts, latency percentiles, cache stats).
+  coalesced/shed counts, latency percentiles, payload-LRU stats).
+
+Every ``POST`` runs the same way: the service core builds a request,
+a pool worker runs it, and the payload LRU keeps the answer.
 
 Flow control lives in the service core: the adapter checks admission
 *before* dispatching to the executor (shed requests get their 429 in

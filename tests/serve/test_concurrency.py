@@ -102,8 +102,6 @@ def test_eviction_mid_flight_never_changes_digests(tmp_path):
         def janitor():
             while not stop.is_set():
                 svc.payloads.clear()
-                svc.programs.clear()
-                svc.results.clear()
                 stop.wait(0.005)
 
         thread = threading.Thread(target=janitor)
@@ -125,8 +123,9 @@ def test_eviction_mid_flight_never_changes_digests(tmp_path):
 def test_killed_worker_fails_one_request_not_the_daemon(tmp_path,
                                                        monkeypatch):
     """A worker hard-killed mid-request (fault injection = what an OOM
-    kill looks like) must yield one structured 500; concurrent and
-    subsequent requests still return CLI-identical digests."""
+    kill looks like) must yield one structured 500 on every endpoint;
+    concurrent and subsequent requests still return CLI-identical
+    digests."""
     good = _variant(7)
     want = _cli_digests(good)
     # Suite-program names are the fault-injection handle.
@@ -142,6 +141,12 @@ def test_killed_worker_fails_one_request_not_the_daemon(tmp_path,
             else:
                 assert payload["error_kind"] == "WorkerDied"
         assert svc.pool.worker_deaths >= 1
+        for endpoint, extra in [("query", {}),
+                                ("slice", {"criterion": "anagram.c:1"})]:
+            status, payload = svc.handle(endpoint,
+                                         dict(extra, program="anagram"))
+            assert status == 500, payload
+            assert payload["error_kind"] == "WorkerDied"
         # The rebuilt pool serves the next cold request correctly.
         fresh = _variant(8)
         status, payload = svc.handle("analyze", {"source": fresh})

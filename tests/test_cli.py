@@ -215,20 +215,21 @@ class TestExperimentRunFlags:
         import json
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_FAULT_INJECT", "span=raise")
-        out_path = tmp_path / "t.jsonl"
-        code = main(["experiment", "cost", "--jobs", "2",
-                     "--telemetry", str(out_path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "span" in captured.err
-        # Survivors still render in the cost table.
-        assert "anagram" in captured.out
-        records = [json.loads(line)
-                   for line in out_path.read_text().splitlines()]
-        assert any(r["kind"] == "error" and r["program"] == "span"
-                   for r in records)
-        assert any(r["kind"] == "analysis" and r["program"] == "anagram"
-                   for r in records)
+        for jobs in ("1", "2"):
+            out_path = tmp_path / f"t{jobs}.jsonl"
+            code = main(["experiment", "cost", "--jobs", jobs,
+                         "--telemetry", str(out_path)])
+            captured = capsys.readouterr()
+            assert code == 1, jobs
+            assert "span" in captured.err
+            # Survivors still render in the cost table.
+            assert "anagram" in captured.out
+            records = [json.loads(line)
+                       for line in out_path.read_text().splitlines()]
+            assert any(r["kind"] == "error" and r["program"] == "span"
+                       for r in records)
+            assert any(r["kind"] == "analysis"
+                       and r["program"] == "anagram" for r in records)
 
     def test_experiment_fail_fast(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
