@@ -6,6 +6,7 @@ from repro.errors import ReproError
 from repro.report.experiments import (
     EXPERIMENT_IDS,
     SuiteRunner,
+    experiment_reads,
     fig2_rows,
     fig3_rows,
     fig4_rows,
@@ -33,6 +34,20 @@ class TestRunner:
 
     def test_cs_reuses_ci(self, runner):
         assert runner.cs("part").extras["ci_result"] is runner.ci("part")
+
+    def test_primes_only_the_flavors_the_tables_read(self):
+        assert experiment_reads(["fig2", "fig3"]) == ("insensitive",)
+        assert experiment_reads(["checkers", "gap"]) == ()
+        assert experiment_reads(EXPERIMENT_IDS) == ("insensitive",
+                                                    "sensitive")
+        ci_only = SuiteRunner(SMALL, flavors=("insensitive",))
+        fig3_rows(ci_only)
+        assert {record["flavor"] for record
+                in ci_only.telemetry_records()} == {"insensitive"}
+        # The checkers table runs its own requests: nothing is primed.
+        unprimed = SuiteRunner(SMALL, flavors=())
+        assert unprimed.names == SMALL
+        assert unprimed.telemetry_records() == []
 
 
 class TestRows:

@@ -129,3 +129,38 @@ class TestRunFiles:
 
     def test_empty_input(self):
         assert _files([]) == []
+
+
+class TestSliceGraphMemo:
+    """``payload_only`` slices keep their dependence graphs, bounded."""
+
+    def _slice(self, path):
+        from repro.runner import execute
+
+        return execute(Request.build(
+            "slice", (str(path),), criterion=f"{path.name}:2",
+            cache=False, payload_only=True)).payload
+
+    def test_keeps_at_most_the_bound(self, tmp_path, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.runner as runner
+
+        monkeypatch.setattr(runner, "_GRAPHS", OrderedDict())
+        monkeypatch.setattr(runner, "_GRAPHS_KEPT", 1)
+        paths = []
+        for tag in "ab":
+            path = tmp_path / f"{tag}.c"
+            path.write_text(f"int {tag}; int *p{tag} = &{tag};\n"
+                            f"int main(void) {{ return *p{tag}; }}\n")
+            paths.append(path)
+        first = self._slice(paths[0])
+        assert first["tier"] == "cold"
+        assert self._slice(paths[0])["tier"] == "solution"
+        assert self._slice(paths[1])["tier"] == "cold"
+        assert len(runner._GRAPHS) == 1
+        # The first graph was evicted: its next slice solves again,
+        # to the same answer.
+        again = self._slice(paths[0])
+        assert again["tier"] == "cold"
+        assert again["slice"] == first["slice"]
