@@ -4,7 +4,9 @@ Starts a real ``repro serve`` daemon (in-process asyncio server on an
 ephemeral port, throwaway cache directory), then:
 
 1. **cold pass** — one ``analyze`` per suite program against the empty
-   cache: full preprocess/parse/lower/solve in a pool worker;
+   cache: full preprocess/parse/lower/solve in a pool worker; after it
+   the pool workers' summed peak RSS (``VmHWM``) is reported, not
+   gated, so a worker that keeps what it solved shows in the report;
 2. **warm pass** — the same requests again, repeated: answered from
    the in-memory solution tier without touching the pool;
 3. **parity** — every served digest (all three flavors, analyze *and*
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import sys
 import tempfile
 import threading
@@ -100,6 +103,22 @@ def _request(addr, method, path, body=None):
         return resp.status, data, time.perf_counter() - started
     finally:
         conn.close()
+
+
+def _workers_vmhwm_mb():
+    """Summed ``VmHWM`` of the daemon's pool workers in MB, or ``None``
+    without ``/proc``.  The daemon runs in this process, so its
+    workers are this process's multiprocessing children."""
+    total_kb = None
+    for child in multiprocessing.active_children():
+        try:
+            status = Path(f"/proc/{child.pid}/status").read_text()
+        except OSError:
+            continue
+        for line in status.splitlines():
+            if line.startswith("VmHWM:"):
+                total_kb = (total_kb or 0) + int(line.split()[1])
+    return None if total_kb is None else round(total_kb / 1024.0, 1)
 
 
 def _served_digests(payload):
@@ -174,6 +193,9 @@ def main() -> int:
             served[name] = _served_digests(payload)
         report["cold_p50_seconds"] = percentile(
             list(cold_latencies.values()), 0.50)
+        workers_mb = _workers_vmhwm_mb()
+        if workers_mb is not None:
+            report["cold_workers_vmhwm_mb"] = workers_mb
 
         # -- warm pass --------------------------------------------------
         warm_latencies = []
@@ -314,7 +336,8 @@ def main() -> int:
             report[key] = round(report[key], 6)
     OUTPUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    print(f"serve bench: cold p50 {report['cold_p50_seconds']}s, "
+    print(f"serve bench: cold p50 {report['cold_p50_seconds']}s "
+          f"(workers' VmHWM {report.get('cold_workers_vmhwm_mb')} MB), "
           f"warm p50 {report['warm_p50_seconds']}s "
           f"({report['warm_over_cold_speedup']}x, floor {SPEEDUP_FLOOR}x); "
           f"mixed {report['mixed_requests']} reqs at "

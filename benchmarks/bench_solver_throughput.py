@@ -81,7 +81,9 @@ def bench_solver(width: int, length: int, repeats: int) -> dict:
     program = load_copy_chain(width, length)
     # Warm the per-program fact table (dense id interning) so every
     # schedule times the solver proper, not the one-time first-touch
-    # interning of the shared program.
+    # interning of the shared program.  Handler binding is part of the
+    # solver proper: no engine keeps its handlers on the program, so
+    # every repeat binds them again.
     analyze_insensitive(program, schedule="batched")
     report = {"workload": f"copy_chain({width}, {length})"}
     digests = {}
@@ -120,7 +122,9 @@ def bench_flavors(seeds, repeats: int) -> dict:
 
     Each program is lowered once and solved once per schedule before
     timing, so the timed repeats measure the solvers on a warm fact
-    table, as repeat solves of one program run in production."""
+    table, as repeat solves of one program run in production: each
+    repeat binds its handlers again, since no engine keeps them on the
+    program."""
     flavors = ("insensitive", "sensitive", "flowinsensitive")
     totals = {flavor: {schedule: {"seconds": 0.0, "transfers": 0,
                                   "meets": 0}

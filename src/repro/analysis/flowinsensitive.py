@@ -73,11 +73,6 @@ class FlowInsensitiveAnalysis(InsensitiveAnalysis):
 
     def __init__(self, program: Program, schedule: str = "batched") -> None:
         super().__init__(program, schedule)
-        #: Handlers bound for this run only: the program keeps CI's
-        #: (``Program.extras["ci_dispatch"]``), and these must never
-        #: land there.  Binding costs a closure per port reached, which
-        #: a program kept in memory would otherwise carry for good.
-        self._dispatch = {}
         #: The single global store (fifo): set of (location, referent).
         self.global_store: Set[PointsToPair] = set()
         #: The single global store (batched), as a bitset: ``G``.

@@ -38,9 +38,9 @@ kernels** of :class:`~repro.memory.facttable.FactTable`: each
 lookup/update/primop image is a pure function of interned ids,
 classified once per table and served from exact-mask memos afterwards,
 so warm solves are dict probes plus big-int joins with no pair
-objects materialized.  Handlers take ``(engine, mask)`` and capture
-only run-independent state (ports, the table), so the bound dispatch
-is cached per program and rebinding costs nothing on repeat runs.
+objects materialized.  Handlers take ``(engine, mask)`` and are bound
+per run, one closure per port reached, and dropped with the run: a
+program kept in memory carries no solver closures.
 """
 
 from __future__ import annotations
@@ -81,21 +81,8 @@ from .common import (
 )
 
 #: A dense batch handler consumes one port's pending fact bitset on
-#: behalf of an engine: ``handler(engine, mask)``.  Handlers close
-#: over run-independent state only (ports, the fact table), so one
-#: bound dispatch table serves every run over a program.
+#: behalf of an engine: ``handler(engine, mask)``.
 MaskHandler = Callable[["InsensitiveAnalysis", int], None]
-
-
-class _DispatchCache(dict):
-    """Per-program ``InputPort → MaskHandler`` cache, living in
-    ``Program.extras``.  Handlers are closures, so the cache pickles
-    as empty and rebinds lazily after a cache round-trip."""
-
-    EXTRAS_KEY = "ci_dispatch"
-
-    def __reduce__(self):
-        return (_DispatchCache, ())
 
 
 #: Per-program dense seed plan: ``(entries, extra_meets)`` where
@@ -143,11 +130,8 @@ class InsensitiveAnalysis:
         self.solution = PointsToSolution(self.table)
         self.callgraph = CallGraph()
         self.counters = Counters()
-        dispatch = program.extras.get(_DispatchCache.EXTRAS_KEY)
-        if not isinstance(dispatch, _DispatchCache):
-            dispatch = _DispatchCache()
-            program.extras[_DispatchCache.EXTRAS_KEY] = dispatch
-        self._dispatch: Dict[InputPort, MaskHandler] = dispatch
+        #: Handlers bound for this run only (see :meth:`_bind_node`).
+        self._dispatch: Dict[InputPort, MaskHandler] = {}
         self._dense = self.schedule == "batched"
         #: Per-run handler state: location-list (dense) and pair-list
         #: (FIFO) snapshots keyed by the feeding output, and
@@ -328,14 +312,13 @@ class InsensitiveAnalysis:
         """Bind handlers for one node, on the first fact to reach it.
 
         The handlers capture their node's sibling ports and the fact
-        table in closure cells — nothing run-specific — so the bound
-        dispatch lives in ``Program.extras`` and repeat runs over the
-        same program (benchmark repeats, the CS pass behind CI, warm
-        fuzz legs) skip rebinding entirely.  Binding lazily — per
-        node, the first time any of its ports goes dirty — matters for
-        small programs, where walking every node up front costs more
-        than the whole fixpoint; nodes facts never reach are never
-        bound.
+        table in closure cells and live in this run's dispatch table,
+        never on the program: a closure per port reached, kept on
+        every program a process holds, costs more memory than
+        rebinding costs time.  Binding lazily — per node, the first
+        time any of its ports goes dirty — matters for small programs,
+        where walking every node up front costs more than the whole
+        fixpoint; nodes facts never reach are never bound.
         """
         dispatch = self._dispatch
         node = input_port.node

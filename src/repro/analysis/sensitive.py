@@ -255,7 +255,7 @@ class SensitiveAnalysis:
         for output, mask in entries:
             self.lane_out(output, mask)
         self.counters.meets += extra
-        # Bound for this run only (see FlowInsensitiveAnalysis).
+        # Bound for this run only (see InsensitiveAnalysis._bind_node).
         dispatch: Dict[InputPort, LaneHandler] = {}
         worklist = self.worklist
         pop = worklist.pop

@@ -30,6 +30,11 @@ Key properties:
   directory glob per minute — and by :func:`clear_cache`; writers
   retry once if a concurrent sweeper reclaims their live temp file
   mid-write.
+* **A small in-process memo** — the last :data:`_MEMO_KEPT` programs a
+  process stored or loaded stay in memory, least recently used first
+  out, so repeat loads skip unpickling while a long-lived process (a
+  daemon pool worker solving each fresh program once) keeps a bounded
+  number of programs, not every one it ever lowered.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import pickle
 import sys
 import tempfile
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -148,15 +154,31 @@ def _entry_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.pkl"
 
 
-#: In-process memo over disk entries: ``(cache_dir, key)`` → (disk
-#: entry's stat signature, loaded program).  Repeat loads within one
-#: process — benchmark repeats, a suite sweep re-reading a shared
-#: header's program, the report runner — skip unpickling entirely
-#: (which costs several milliseconds per program).  Each memo hit is
-#: validated against the entry's current ``(st_size, st_mtime_ns)``,
-#: so an entry rewritten, corrupted, or deleted on disk behaves
-#: exactly as it would with no memo.
-_MEMO: Dict[Tuple[str, str], Tuple[Tuple[int, int], Program]] = {}
+#: In-process memo over disk entries, least recently used first:
+#: ``(cache_dir, key)`` → (disk entry's stat signature, program).
+#: Repeat loads within one process — benchmark repeats, a suite sweep
+#: re-reading a shared header's program, the report runner — skip
+#: unpickling entirely (which costs several milliseconds per program).
+#: Each memo hit is validated against the entry's current
+#: ``(st_size, st_mtime_ns)``, so an entry rewritten, corrupted, or
+#: deleted on disk behaves exactly as it would with no memo.  At most
+#: ``_MEMO_KEPT`` programs stay (as many as the dependence graphs a
+#: pool worker keeps, ``runner._GRAPHS``): a daemon worker lowers each
+#: fresh program once, and an unbounded memo would hold every one's
+#: object graph for the life of the worker.
+_MEMO: "OrderedDict[Tuple[str, str], Tuple[Tuple[int, int], Program]]" = \
+    OrderedDict()
+_MEMO_KEPT = 8
+
+
+def _memoize(memo_key: Tuple[str, str], signature: Tuple[int, int],
+             program: Program) -> None:
+    """Make ``program`` the memo's most recent entry, dropping the
+    least recently used one past :data:`_MEMO_KEPT`."""
+    _MEMO[memo_key] = (signature, program)
+    _MEMO.move_to_end(memo_key)
+    if len(_MEMO) > _MEMO_KEPT:
+        _MEMO.popitem(last=False)
 
 
 def load_program(cache_dir: Path, key: str) -> Optional[Program]:
@@ -176,6 +198,7 @@ def load_program(cache_dir: Path, key: str) -> Optional[Program]:
     signature = (stat.st_size, stat.st_mtime_ns)
     memoized = _MEMO.get(memo_key)
     if memoized is not None and memoized[0] == signature:
+        _MEMO.move_to_end(memo_key)
         return memoized[1]
     try:
         with open(path, "rb") as fh:
@@ -206,7 +229,7 @@ def load_program(cache_dir: Path, key: str) -> Optional[Program]:
             pass
         _MEMO.pop(memo_key, None)
         return None
-    _MEMO[memo_key] = (signature, program)
+    _memoize(memo_key, signature, program)
     return program
 
 
@@ -293,10 +316,11 @@ def store_program(cache_dir: Path, key: str, program: Program) -> bool:
                     return False
                 try:
                     stat = os.stat(entry)
-                    _MEMO[(str(cache_dir), key)] = (
-                        (stat.st_size, stat.st_mtime_ns), program)
                 except OSError:
                     pass
+                else:
+                    _memoize((str(cache_dir), key),
+                             (stat.st_size, stat.st_mtime_ns), program)
                 return True
             except BaseException:
                 try:

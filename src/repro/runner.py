@@ -559,10 +559,14 @@ def _dead_worker_outcome(name: str) -> TaskOutcome:
 
     message = (f"worker process died while analyzing {name!r} "
                "(killed or crashed hard)")
-    return TaskOutcome(
+    outcome = TaskOutcome(
         name=name,
         error=TaskError(name=name, kind="WorkerDied", message=message),
         records=[error_record(name, "WorkerDied", message)])
+    # Written by the process that saw the worker die, about its own
+    # memory: nothing of it is the dead task's.
+    _tag_rss_scope(outcome, "process")
+    return outcome
 
 
 #: Per-task address-space budget in MiB, applied (and restored) around
@@ -620,15 +624,21 @@ def _guarded(request: Request) -> TaskOutcome:
     still interrupts the parent's ``wait``).  The optional per-task
     memory cap (see :data:`RLIMIT_ENV`) surfaces as a caught
     ``MemoryError`` here — a budget-blown task fails structurally, its
-    pool survives.
+    pool survives.  The worker's peak RSS before the task is the
+    baseline of the records' ``rss_delta_kb``.
     """
+    from .telemetry import peak_rss_kb
+
     saved = _apply_request_rlimit()
+    baseline = peak_rss_kb()
     try:
-        return execute(request)
+        outcome = execute(request)
     except BaseException as exc:
-        return _error_outcome(request.name, exc)
+        outcome = _error_outcome(request.name, exc)
     finally:
         _restore_request_rlimit(saved)
+    _tag_rss_scope(outcome, "worker", baseline)
+    return outcome
 
 
 # -- engine ----------------------------------------------------------------
@@ -657,28 +667,29 @@ def _run_isolated(request: Request) -> TaskOutcome:
 def _tag_rss_scope(outcome: TaskOutcome, scope: str,
                    baseline_kb: Optional[int] = None) -> None:
     """Annotate an outcome's telemetry records with whose memory
-    ``peak_rss_kb`` actually describes.
+    ``peak_rss_kb`` actually describes, and what of it the request
+    added.
 
-    Worker-pool records measure a process that ran (approximately)
-    just that request, so ``rss_scope="worker"`` and the number stands
-    on its own.  Inline records measure the *parent* — its cumulative
-    peak includes every earlier request and the driver itself, so raw
-    ``peak_rss_kb`` grows monotonically along a sweep and was easy to
-    misread as per-request cost.  Those records get
-    ``rss_scope="process"`` plus ``rss_delta_kb``, the growth of the
-    process peak over the pre-request baseline (0 when the request fit
-    under the existing high-water mark — peak RSS never goes down).
+    ``peak_rss_kb`` is a process's lifetime peak: ``rss_scope="worker"``
+    for a pool worker, which runs many requests in turn, and
+    ``rss_scope="process"`` for the process that ran the request
+    inline (or saw its worker die), which also holds the driver and
+    every earlier request.  Either way the raw peak is cumulative and
+    easy to misread as per-request cost, so every record also gets
+    ``rss_delta_kb``: the growth of the peak over ``baseline_kb``, the
+    peak before the request (0 when the request fit under the existing
+    high-water mark — peak RSS never goes down; ``None`` without a
+    baseline).
     """
     for record in outcome.records:
         if "peak_rss_kb" not in record:
             continue
         record["rss_scope"] = scope
-        if scope == "process":
-            peak = record["peak_rss_kb"]
-            if peak is None or baseline_kb is None:
-                record["rss_delta_kb"] = None
-            else:
-                record["rss_delta_kb"] = max(0, peak - baseline_kb)
+        peak = record["peak_rss_kb"]
+        if peak is None or baseline_kb is None:
+            record["rss_delta_kb"] = None
+        else:
+            record["rss_delta_kb"] = max(0, peak - baseline_kb)
 
 
 def run(requests: Sequence[Request], jobs: Optional[int] = None,
@@ -759,7 +770,6 @@ def run(requests: Sequence[Request], jobs: Optional[int] = None,
                     for other in not_done:
                         other.cancel()
                     raise ReproError(f"task failed: {outcome.error}")
-                _tag_rss_scope(outcome, "worker")
                 outcomes[index] = outcome
             if broken:
                 break
@@ -773,7 +783,6 @@ def run(requests: Sequence[Request], jobs: Optional[int] = None,
         outcome = _run_isolated(requests[index])
         if not outcome.ok and fail_fast:
             raise ReproError(f"task failed: {outcome.error}")
-        _tag_rss_scope(outcome, "worker")
         outcomes[index] = outcome
 
     return RunReport(outcomes=[o for o in outcomes if o is not None])
@@ -839,7 +848,6 @@ class WorkerPool:
             self.worker_deaths += 1
             self._discard_broken(pool)
             outcome = _run_isolated(request)
-        _tag_rss_scope(outcome, "worker")
         return outcome
 
     def shutdown(self) -> None:

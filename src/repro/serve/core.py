@@ -304,29 +304,31 @@ class AnalysisService:
     # -- request handling (blocking; runs on executor threads) --------
 
     def handle(self, endpoint: str, body: dict) -> Tuple[int, dict]:
-        """One admitted request → ``(http_status, response_payload)``."""
+        """One admitted request → ``(http_status, response_payload)``.
+
+        Every answer but a 200 counts in ``errors`` and nothing else:
+        not in ``requests``, the tier hits or the latency sample,
+        whether the daemon or the worker found the fault."""
         start = time.perf_counter()
         if endpoint not in _FIELDS:
+            self.metrics.count("errors")
             return 404, {"error": f"unknown endpoint {endpoint!r}"}
         try:
             status, payload = self._pooled(endpoint, body)
             if endpoint == "query" and status == 200:
                 payload = _query_view(payload, body)
         except RequestError as exc:
-            self.metrics.count("errors")
-            return 400, {"error": str(exc)}
+            status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - daemon must not die
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        if status != 200:
             self.metrics.count("errors")
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            return status, payload
         elapsed = time.perf_counter() - start
         # Followers of a coalesced computation don't re-count its tier
         # — six riders on one cold solve is one cold solve.
-        tier = None
-        if status == 200 and not payload.get("coalesced"):
-            tier = payload.get("tier")
+        tier = None if payload.get("coalesced") else payload.get("tier")
         self.metrics.observe(endpoint, tier, elapsed)
-        if status >= 500:
-            self.metrics.count("errors")
         self._maybe_snapshot()
         return status, payload
 

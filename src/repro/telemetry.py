@@ -27,16 +27,17 @@ Record schema (``schema`` = :data:`SCHEMA_VERSION`):
       "worker_pid": 1234,                  # process that ran the solve
       "peak_rss_kb": 45678,                # that process's peak RSS
       "rss_scope": "worker" | "process",   # whose memory that is
-      "rss_delta_kb": 123                  # process-scope records only
+      "rss_delta_kb": 123                  # what this task added to it
     }
 
-Records produced through :func:`repro.runner.run` carry
-``rss_scope``: ``"worker"`` means ``peak_rss_kb`` measured a pool
-process that ran (approximately) only that task; ``"process"`` means
-the task ran inline in the driver, whose cumulative peak covers every
-earlier task too — read ``rss_delta_kb`` (growth of the process peak
-over the pre-task baseline, 0 when the task fit under the existing
-high-water mark) for the per-task attribution.
+Records produced through :func:`repro.runner.run` and
+:class:`repro.runner.WorkerPool` carry ``rss_scope`` and
+``rss_delta_kb``.  ``peak_rss_kb`` is always a process's lifetime
+peak, covering every earlier task that process ran: ``"worker"`` means
+a pool worker (which runs many tasks in turn), ``"process"`` the
+driver that ran the task inline.  Read ``rss_delta_kb`` — growth of
+that peak over the pre-task baseline, 0 when the task fit under the
+existing high-water mark — for the per-task attribution.
 
 ``kind="error"`` records replace ``flavor``/``counters``/``phases``
 with an ``error`` object ``{"kind", "message", "traceback"}`` naming

@@ -382,6 +382,68 @@ class TestInProcessMemo:
         assert forget_loaded(cache_b) == 1  # other dir untouched
 
 
+def _distinct_programs(tmp_path, count):
+    """``count`` self-contained sources, each with its own entry."""
+    paths = []
+    for serial in range(count):
+        path = tmp_path / f"prog{serial}.c"
+        path.write_text(SOURCE.replace("int g;", f"int g; int g{serial};"))
+        paths.append(path)
+    return paths
+
+
+class TestMemoBound:
+    """A long-lived process (a daemon pool worker) lowers each fresh
+    program once; the memo keeps the most recently used few, not every
+    program the process ever saw."""
+
+    def _memo_keys(self, cache_dir, paths):
+        return [(str(cache_dir), key_for_files([path])) for path in paths]
+
+    def test_stores_past_the_bound_keep_the_bound(self, tmp_path,
+                                                  cache_dir):
+        from repro.frontend import cache as cache_mod
+
+        kept = cache_mod._MEMO_KEPT
+        paths = _distinct_programs(tmp_path, kept + 3)
+        for path in paths:
+            lower_file(path, cache=cache_dir)
+        assert len(_entries(cache_dir)) == kept + 3
+        assert list(cache_mod._MEMO) == self._memo_keys(cache_dir,
+                                                        paths[3:])
+
+    def test_loads_past_the_bound_keep_the_bound(self, tmp_path,
+                                                 cache_dir):
+        from repro.frontend import cache as cache_mod
+
+        kept = cache_mod._MEMO_KEPT
+        paths = _distinct_programs(tmp_path, kept + 3)
+        for path in paths:
+            lower_file(path, cache=cache_dir)
+        forget_loaded(cache_dir)
+        for path in paths:
+            program = lower_file(path, cache=cache_dir)
+            assert program.extras["cache"] == "hit"
+        assert list(cache_mod._MEMO) == self._memo_keys(cache_dir,
+                                                        paths[3:])
+
+    def test_a_hit_refreshes_recency(self, tmp_path, cache_dir):
+        from repro.frontend import cache as cache_mod
+
+        kept = cache_mod._MEMO_KEPT
+        paths = _distinct_programs(tmp_path, kept + 1)
+        programs = [lower_file(path, cache=cache_dir)
+                    for path in paths[:kept]]
+        # The oldest entry, hit again, outlives the next one in.
+        assert lower_file(paths[0], cache=cache_dir) is programs[0]
+        lower_file(paths[kept], cache=cache_dir)
+        oldest, evicted = self._memo_keys(cache_dir, paths[:2])
+        assert oldest in cache_mod._MEMO
+        assert evicted not in cache_mod._MEMO
+        assert lower_file(paths[0], cache=cache_dir) is programs[0]
+        assert lower_file(paths[1], cache=cache_dir) is not programs[1]
+
+
 class TestCachedProgramFidelity:
     def test_loaded_program_analyzes_identically(self, cfile, cache_dir):
         fresh = lower_file(cfile, cache=cache_dir)

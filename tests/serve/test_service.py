@@ -167,14 +167,15 @@ def test_service_process_never_lowers(service, tmp_path):
 
     path = tmp_path / "memo.c"
     path.write_text(HAZARD_SOURCE)
-    before = dict(cache._MEMO)
+    # In recency order: a memo hit in this process would reorder it.
+    before = list(cache._MEMO.items())
     for endpoint, extra in [("analyze", {}), ("check", {}), ("query", {}),
                             ("slice", {"criterion": "memo.c:6"}),
                             ("slice", {"finding": "nullderef"})]:
         status, payload = service.handle(
             endpoint, dict(extra, file=str(path)))
         assert status == 200, payload
-    assert cache._MEMO == before
+    assert list(cache._MEMO.items()) == before
 
 
 def test_flavor_subset_and_ordering(service):

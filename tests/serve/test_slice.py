@@ -126,3 +126,18 @@ def test_bad_requests_are_client_errors(service, body, fragment):
     assert status == 400
     if fragment is not None:
         assert fragment in payload["error"]
+
+
+def test_client_errors_count_one_way(service):
+    """A 400 counts in ``errors`` and nowhere else, whether the
+    daemon's own checks refuse the body (``direction``) or the worker
+    finds that the criterion matches nothing."""
+    for body in ({"source": SOURCE, "criterion": "x.c:10",
+                  "direction": "up"},
+                 {"source": SOURCE, "criterion": "x.c:999"}):
+        status, _ = service.handle("slice", body)
+        assert status == 400
+    snap = service.metrics_payload()
+    assert snap["errors"] == 2
+    assert snap["requests"] == {}
+    assert snap["latency_p50_seconds"] is None

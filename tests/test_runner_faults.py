@@ -78,6 +78,9 @@ class TestRaisingWorker:
         (record,) = [r for r in report.records if r["kind"] == "error"]
         assert record["program"] == "backprop"
         assert record["error"]["kind"] == "ReproError"
+        # The worker that raised wrote it, with its task's baseline.
+        assert record["rss_scope"] == "worker"
+        assert "rss_delta_kb" in record
         assert json.dumps(record)  # JSON-serializable as-is
 
 
@@ -101,6 +104,9 @@ class TestKilledWorker:
         (record,) = [r for r in report.records if r["kind"] == "error"]
         assert record["program"] == "span"
         assert record["error"]["kind"] == "WorkerDied"
+        # The driver wrote it, about its own memory: no task's share.
+        assert record["rss_scope"] == "process"
+        assert record["rss_delta_kb"] is None
 
     def test_survivor_results_match_clean_run(self, monkeypatch):
         clean = _suite_report(names=["anagram"], jobs=1,

@@ -147,8 +147,39 @@ class TestRssScope:
                                force_pool=True)
         for record in report.records:
             assert record["rss_scope"] == "worker"
-            # Worker peaks stand on their own; no delta is attached.
-            assert "rss_delta_kb" not in record
+            # A worker's peak covers every task it ran; the delta,
+            # taken from the task's own baseline, is what this one
+            # added.
+            delta = record["rss_delta_kb"]
+            if record["peak_rss_kb"] is not None:
+                assert isinstance(delta, int) and delta >= 0
+                assert delta <= record["peak_rss_kb"]
+            else:
+                assert delta is None
+
+    def test_worker_deltas_do_not_accumulate(self, tmp_path,
+                                             monkeypatch):
+        """A pool worker runs many tasks, so its raw peak is no one
+        task's cost: per worker, the tasks' deltas sum to at most the
+        worker's peak, whereas each raw peak already includes every
+        earlier task's."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        names = ["anagram", "span", "cdecl", "part"]
+        report = _suite_report(names=names, jobs=2, force_pool=True)
+        if any(r["peak_rss_kb"] is None for r in report.records):
+            pytest.skip("no resource module on this platform")
+        by_worker = {}
+        for record in report.records:
+            # A task's flavors share its baseline: count it once.
+            tasks = by_worker.setdefault(record["worker_pid"], {})
+            tasks[record["program"]] = max(
+                tasks.get(record["program"], 0), record["rss_delta_kb"])
+        assert sum(len(tasks) for tasks in by_worker.values()) == \
+            len(names)
+        for pid, tasks in by_worker.items():
+            peak = max(r["peak_rss_kb"] for r in report.records
+                       if r["worker_pid"] == pid)
+            assert sum(tasks.values()) <= peak
 
     def test_inline_deltas_do_not_accumulate(self, tmp_path,
                                              monkeypatch):
