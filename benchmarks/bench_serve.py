@@ -4,9 +4,11 @@ Starts a real ``repro serve`` daemon (in-process asyncio server on an
 ephemeral port, throwaway cache directory), then:
 
 1. **cold pass** — one ``analyze`` per suite program against the empty
-   cache: full preprocess/parse/lower/solve in a pool worker; after it
-   the pool workers' summed peak RSS (``VmHWM``) is reported, not
-   gated, so a worker that keeps what it solved shows in the report;
+   cache: full preprocess/parse/lower/solve in a pool worker;
+   **fresh phase** — each pool worker is then sent more never-seen
+   generated programs than the lowering memo keeps, and the workers'
+   summed peak RSS (``VmHWM``) is reported, not gated, so a worker
+   that keeps what it solved shows in the report;
 2. **warm pass** — the same requests again, repeated: answered from
    the in-memory solution tier without touching the pool;
 3. **parity** — every served digest (all three flavors, analyze *and*
@@ -51,6 +53,8 @@ from repro.analysis.flowinsensitive import analyze_flowinsensitive  # noqa: E402
 from repro.analysis.insensitive import analyze_insensitive  # noqa: E402
 from repro.analysis.sensitive import analyze_sensitive  # noqa: E402
 from repro.analysis.slicing import slice_criterion  # noqa: E402
+from repro.frontend.cache import _MEMO_KEPT  # noqa: E402
+from repro.fuzz.generator import generate_program  # noqa: E402
 from repro.runner import Request, run  # noqa: E402
 from repro.serve import ServeConfig  # noqa: E402
 from repro.serve.http import run_server  # noqa: E402
@@ -70,9 +74,20 @@ MIXED_REQUESTS = 50
 
 CHECK_FLAVORS = ("insensitive", "sensitive", "flowinsensitive")
 
+#: The daemon's pool width.
+WORKERS = 4
+
+#: Fresh-phase rounds: each sends one never-seen program per worker, so
+#: every worker gets more programs than the lowering memo keeps.
+FRESH_ROUNDS = _MEMO_KEPT + 4
+
+#: Size of a fresh-phase program (the fuzz generator's statement
+#: budget; 500 is layerbench's ``serve-cold`` fresh class).
+FRESH_MAX_NODES = 500
+
 
 def _start_daemon(cache_dir: str):
-    config = ServeConfig(port=0, workers=4, cache=cache_dir,
+    config = ServeConfig(port=0, workers=WORKERS, cache=cache_dir,
                          queue_limit=64,
                          telemetry=str(Path(cache_dir) / "serve.jsonl"),
                          telemetry_every=25)
@@ -193,6 +208,23 @@ def main() -> int:
             served[name] = _served_digests(payload)
         report["cold_p50_seconds"] = percentile(
             list(cold_latencies.values()), 0.50)
+
+        # -- fresh phase: more never-seen programs per worker than the
+        # lowering memo keeps, one concurrent request per worker a round
+        def fresh(seed):
+            source = generate_program(seed, FRESH_MAX_NODES).source
+            return _request(addr, "POST", "/analyze", {"source": source})
+
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            for first in range(1, FRESH_ROUNDS * WORKERS + 1, WORKERS):
+                seeds = range(first, first + WORKERS)
+                for seed, (status, payload, _) in zip(
+                        seeds, pool.map(fresh, seeds)):
+                    if status != 200:
+                        failures.append(
+                            f"fresh analyze seed {seed}: HTTP {status} "
+                            f"({payload.get('error')})")
+        report["fresh_phase_programs"] = FRESH_ROUNDS * WORKERS
         workers_mb = _workers_vmhwm_mb()
         if workers_mb is not None:
             report["cold_workers_vmhwm_mb"] = workers_mb

@@ -34,10 +34,10 @@ from ...errors import AnalysisError
 from ...memory.access import AccessPath
 from ...memory.base import BaseLocation, LocationKind
 from ...memory.pairs import PointsToPair
-from ...ir.graph import FunctionGraph, Program
-from ...ir.nodes import CallNode, Node, OutputPort
+from ...ir.graph import Program
+from ...ir.nodes import Node, OutputPort
 from ...record import Record
-from ..common import AnalysisResult, CallGraph
+from ..common import AnalysisResult
 
 #: Severity levels, ordered: "error" marks a must-hazard (every target
 #: of the operation is invalid), "warning" a may-hazard.
@@ -185,23 +185,6 @@ class CheckerRegistry:
 
 #: The process-wide registry the concrete checker modules populate.
 REGISTRY = CheckerRegistry()
-
-
-def transitive_callees(callgraph: CallGraph, call: CallNode
-                       ) -> Set[FunctionGraph]:
-    """Every function whose frame is dead once ``call`` returns:
-    the direct callees plus everything reachable from them."""
-    pending = list(callgraph.callees(call))
-    reached: Set[FunctionGraph] = set()
-    while pending:
-        graph = pending.pop()
-        if graph in reached:
-            continue
-        reached.add(graph)
-        for node in graph.nodes:
-            if isinstance(node, CallNode):
-                pending.extend(callgraph.callees(node))
-    return reached
 
 
 def run_checkers(result: AnalysisResult,

@@ -16,54 +16,84 @@ reported unconditionally by CI but context-filtered by CS.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Dict, FrozenSet, Iterator, Set
 
+from ...memory.access import AccessPath
 from ...memory.base import LocationKind
+from ...ir.graph import FunctionGraph
 from ...ir.nodes import CallNode
 from ..common import AnalysisResult
-from .base import REGISTRY, RawFinding, transitive_callees
+from .base import REGISTRY, RawFinding
 
 _STACK_KINDS = (LocationKind.LOCAL, LocationKind.PARAM)
+
+
+def _callee_closures(result: AnalysisResult
+                     ) -> Dict[FunctionGraph, FrozenSet[str]]:
+    """Each function's name with the names of every function it may
+    call, transitively: the frames that are dead once a call to it
+    returns."""
+    callgraph = result.callgraph
+    calls = {graph: {callee for node in graph.nodes
+                     if isinstance(node, CallNode)
+                     for callee in callgraph.callees(node)}
+             for graph in result.program.functions.values()}
+    closures: Dict[FunctionGraph, FrozenSet[str]] = {}
+    for graph in calls:
+        reached: Set[FunctionGraph] = set()
+        pending = [graph]
+        while pending:
+            callee = pending.pop()
+            if callee not in reached:
+                reached.add(callee)
+                pending.extend(calls[callee])
+        closures[graph] = frozenset(g.name for g in reached)
+    return closures
+
+
+def _in_frames(path: AccessPath, frames: Set[str]) -> bool:
+    """Whether ``path`` lies in a local or parameter cell of one of
+    ``frames``."""
+    base = path.base
+    return base is not None and base.kind in _STACK_KINDS \
+        and base.procedure in frames
 
 
 @REGISTRY.register("stackref")
 def check_stack_escapes(result: AnalysisResult) -> Iterator[RawFinding]:
     solution = result.solution
+    callgraph = result.callgraph
+    closures = _callee_closures(result)
     for graph in result.program.functions.values():
         for node in graph.nodes:
             if not isinstance(node, CallNode):
                 continue
-            dead = {g.name for g in
-                    transitive_callees(result.callgraph, node)}
+            dead: Set[str] = set()
+            for callee in callgraph.callees(node):
+                dead |= closures[callee]
             # A recursive call keeps the enclosing frame live; its
             # (shared, multi-instance) locals are not dead yet.
             dead.discard(graph.name)
             if not dead:
                 continue
-            for pair in sorted(solution.pairs(node.ostore),
-                               key=repr):
-                ref = pair.referent.base
-                if ref is None or ref.kind not in _STACK_KINDS \
-                        or ref.procedure not in dead:
-                    continue
-                holder = pair.path.base
-                if holder is not None and holder.kind in _STACK_KINDS \
-                        and holder.procedure in dead:
-                    continue  # the holding cell dies with the frame too
+            # Only pointers into a dead frame are sorted; a holding
+            # cell that dies with the frame too is no escape.
+            escapes = [pair for pair in solution.pairs(node.ostore)
+                       if _in_frames(pair.referent, dead)
+                       and not _in_frames(pair.path, dead)]
+            for pair in sorted(escapes, key=repr):
                 yield RawFinding(
                     "stackref", node, "warning",
                     f"{pair.path!r} may hold a pointer into the dead "
-                    f"frame of {ref.procedure} after this call returns",
+                    f"frame of {pair.referent.base.procedure} after "
+                    f"this call returns",
                     path=pair.referent, evidence=(node.ostore, pair))
-            for pair in sorted(solution.pairs(node.out), key=repr):
-                if not pair.is_direct:
-                    continue
-                ref = pair.referent.base
-                if ref is None or ref.kind not in _STACK_KINDS \
-                        or ref.procedure not in dead:
-                    continue
+            returned = [pair for pair in solution.pairs(node.out)
+                        if pair.is_direct
+                        and _in_frames(pair.referent, dead)]
+            for pair in sorted(returned, key=repr):
                 yield RawFinding(
                     "stackref", node, "warning",
                     f"call may return a pointer into the dead frame "
-                    f"of {ref.procedure}",
+                    f"of {pair.referent.base.procedure}",
                     path=pair.referent, evidence=(node.out, pair))

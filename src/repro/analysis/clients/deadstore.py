@@ -21,14 +21,12 @@ Caveats, inherited from the may-analysis setting:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
-from ...ir.graph import Program
 from ...ir.nodes import LookupNode, UpdateNode
 from ...record import Record
 from ..common import AnalysisResult
 from ..depgraph import ReachingDefs
-from .defuse import DefUseInfo
 
 
 class DeadStoreReport(Record):
@@ -49,32 +47,23 @@ class DeadStoreReport(Record):
         return self.total - len(self.dead) - len(self.unreachable)
 
 
-def find_dead_stores(result: AnalysisResult,
-                     du: "DefUseInfo | ReachingDefs" = None
-                     ) -> DeadStoreReport:
+def find_dead_stores(result: AnalysisResult) -> DeadStoreReport:
     """Classify every update in the program.
 
-    Cost note: this inverts the def/use relation by computing reaching
-    definitions for every read once and collecting the union of
-    observed writes — O(reads × store-chain), not O(reads × writes).
+    Cost note: one backward walk over the store graph observes every
+    read at once — it starts at each read's store input with that
+    read's footprint bits over the union of the footprints — so the
+    pass is O(store graph × footprint bits), not O(reads ×
+    store-chain).  The walk is context-insensitive (every caller of a
+    procedure), which keeps the state space linear and is still sound:
+    it only widens the set of observed writes, so nothing live is
+    reported dead.
     """
-    if du is None:
-        # Whole-program sweep: the context-insensitive walk keeps the
-        # state space linear (still sound — it only widens the set of
-        # observed writes, so nothing live is reported dead).  The
-        # shared mask-level engine is used directly; a caller with an
-        # existing DefUseInfo can pass it (both answer
-        # ``reaching_definitions``).
-        du = ReachingDefs(result, call_site_sensitive=False)
     program = result.program
-
-    observed: Set[UpdateNode] = set()
-    for graph in program.functions.values():
-        for node in graph.nodes:
-            if isinstance(node, LookupNode):
-                for definition in du.reaching_definitions(node):
-                    if isinstance(definition, UpdateNode):
-                        observed.add(definition)
+    reads = [node for graph in program.functions.values()
+             for node in graph.nodes if isinstance(node, LookupNode)]
+    observed = ReachingDefs(result, call_site_sensitive=False) \
+        .reaching_any(reads)
 
     report = DeadStoreReport()
     solution = result.solution

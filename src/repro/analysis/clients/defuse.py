@@ -20,8 +20,9 @@ the store dependence chain backwards from the lookup:
 
 The walk itself lives in :class:`repro.analysis.depgraph.ReachingDefs`
 — one mask-level traversal per read carrying the read's whole location
-footprint — shared with the dead-store client and the dependence-graph
-pass.  This module keeps the historical query surface on top of it.
+footprint — shared with the dependence-graph pass and the dead-store
+client (which walks from every read at once).  This module keeps the
+historical query surface on top of it.
 """
 
 from __future__ import annotations

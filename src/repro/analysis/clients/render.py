@@ -45,16 +45,13 @@ def modref_payload(result: AnalysisResult) -> List[Dict[str, object]]:
             for name in sorted(result.program.functions)]
 
 
-def defuse_payload(result: AnalysisResult,
-                   engine: Optional[ReachingDefs] = None
-                   ) -> List[Dict[str, object]]:
+def defuse_payload(result: AnalysisResult) -> List[Dict[str, object]]:
     """Per-read reaching definitions, node-key-sorted.
 
     Definitions render as node keys (``function:update#uid``) or the
     :data:`~repro.analysis.depgraph.INITIAL` marker.
     """
-    if engine is None:
-        engine = ReachingDefs(result, call_site_sensitive=False)
+    engine = ReachingDefs(result, call_site_sensitive=False)
     from ...ir.nodes import LookupNode
 
     rows = []
@@ -75,11 +72,9 @@ def defuse_payload(result: AnalysisResult,
     return sorted(rows, key=lambda r: r["read"])
 
 
-def deadstore_payload(result: AnalysisResult,
-                      engine: Optional[ReachingDefs] = None
-                      ) -> Dict[str, object]:
+def deadstore_payload(result: AnalysisResult) -> Dict[str, object]:
     """Dead/unreachable writes plus the live/total counts."""
-    report = find_dead_stores(result, du=engine)
+    report = find_dead_stores(result)
 
     def rows(nodes):
         return sorted(
@@ -100,16 +95,14 @@ def clients_payload(result: AnalysisResult,
                     modref_wanted: bool = False,
                     defuse_wanted: bool = False,
                     deadstore_wanted: bool = False) -> Dict[str, object]:
-    """The requested client sections, sharing one walk engine."""
+    """The requested client sections."""
     payload: Dict[str, object] = {}
-    engine = (ReachingDefs(result, call_site_sensitive=False)
-              if defuse_wanted or deadstore_wanted else None)
     if modref_wanted:
         payload["modref"] = modref_payload(result)
     if defuse_wanted:
-        payload["defuse"] = defuse_payload(result, engine)
+        payload["defuse"] = defuse_payload(result)
     if deadstore_wanted:
-        payload["deadstore"] = deadstore_payload(result, engine)
+        payload["deadstore"] = deadstore_payload(result)
     return payload
 
 

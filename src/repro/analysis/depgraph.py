@@ -10,10 +10,13 @@ Two layers live here:
    ``(store output, call stack)`` with the subset of footprint bits
    already propagated, so the walk is a monotone fixpoint over
    location sets instead of one traversal per ``(read, location)``
-   pair.  Path objects are decoded exactly once per memory operation
-   (``decode_paths`` of the small ``op_targets_mask``), never per
-   edge — the alias tests between an update's targets and a read's
-   footprint reuse those interned paths.
+   pair.  The same walk takes many starts at once: dead stores need
+   only which updates *some* read observes, one walk from every read
+   over the union of their footprints.  Path objects are decoded
+   exactly once per memory operation (``decode_paths`` of the small
+   ``op_targets_mask``), never per edge — the alias tests between an
+   update's targets and a read's footprint reuse those interned
+   paths.
 
 2. :class:`DependenceGraph` — the program dependence graph computed
    from any solved :class:`~repro.analysis.common.AnalysisResult`:
@@ -113,6 +116,28 @@ class ReachingDefs:
         defmap, _ = self._reach(read)
         return set(defmap)
 
+    def reaching_any(self, reads: Iterable[LookupNode]) -> Set[Definition]:
+        """Every definition some read in ``reads`` may observe: the
+        union of their :meth:`reaching_definitions`, from one walk.
+
+        The walk starts at every read's store input with that read's
+        footprint bits over the union of the footprints.  A location
+        bit travels alone through every transfer (the may-alias hit and
+        the strong-update kill test it by itself), so the walk reaches
+        an ``(output, stack, bit)`` state exactly when some read's own
+        walk does, and the union is exact.
+        """
+        index: Dict[AccessPath, int] = {}
+        starts: List[Tuple[OutputPort, int]] = []
+        for read in reads:
+            store_src = self._store_input(read)
+            bits = 0
+            for path in self.op_paths(read):
+                bits |= 1 << index.setdefault(path, len(index))
+            if bits:
+                starts.append((store_src, bits))
+        return set(self._walk(starts, tuple(index)))
+
     def definitions_for(self, read: LookupNode,
                         location: AccessPath) -> Set[Definition]:
         """Reaching definitions for one specific read location."""
@@ -122,13 +147,8 @@ class ReachingDefs:
                 want = 1 << bit
                 return {d for d, bits in defmap.items() if bits & want}
         # Not part of the read's decoded footprint: walk it alone.
-        if not isinstance(read, LookupNode):
-            raise AnalysisError(f"{read!r} is not a memory read")
-        store_src = read.store.source
-        if store_src is None:
-            raise AnalysisError(f"{read!r} has a dangling store input")
-        defmap = self._walk(store_src, (location,))
-        return set(defmap)
+        return set(self._walk([(self._store_input(read), 1)],
+                              (location,)))
 
     def op_paths(self, node: Node) -> Tuple[AccessPath, ...]:
         """Decoded target paths of one memory operation (cached)."""
@@ -142,40 +162,53 @@ class ReachingDefs:
 
     # -- the walk ------------------------------------------------------
 
-    def _reach(self, read: LookupNode
-               ) -> Tuple[Dict[Definition, int], Tuple[AccessPath, ...]]:
-        cached = self._defs.get(read)
-        if cached is not None:
-            return cached
+    def _store_input(self, read: LookupNode) -> OutputPort:
+        """The store a read observes, where its backward walk starts."""
         if not isinstance(read, LookupNode):
             raise AnalysisError(f"{read!r} is not a memory read")
         store_src = read.store.source
         if store_src is None:
             raise AnalysisError(f"{read!r} has a dangling store input")
+        return store_src
+
+    def _reach(self, read: LookupNode
+               ) -> Tuple[Dict[Definition, int], Tuple[AccessPath, ...]]:
+        cached = self._defs.get(read)
+        if cached is not None:
+            return cached
+        store_src = self._store_input(read)
         footprint = self.op_paths(read)
-        defmap = self._walk(store_src, footprint) if footprint else {}
+        defmap = self._walk([(store_src, (1 << len(footprint)) - 1)],
+                            footprint) if footprint else {}
         self._defs[read] = (defmap, footprint)
         return defmap, footprint
 
-    def _walk(self, start: OutputPort,
+    def _walk(self, starts: List[Tuple[OutputPort, int]],
               footprint: Tuple[AccessPath, ...]) -> Dict[Definition, int]:
         """Iterative backward walk over the store dependence graph.
 
-        The live set is a bitmask over ``footprint``; a state is
-        re-expanded only for bits it has not yet propagated, so the
+        ``starts`` pairs each start store with its live bits over
+        ``footprint``; one read's walk is the one-start case.  A state
+        is re-expanded only for bits it has not yet propagated, so the
         visit count is bounded by states × footprint bits with full
-        sharing between locations that travel together.  The call
-        stack (when enabled) gives call-site sensitivity; recursion is
-        capped by never pushing a call already on the stack.
+        sharing between locations (and starts) that travel together.
+        The call stack (when enabled) gives call-site sensitivity;
+        recursion is capped by never pushing a call already on the
+        stack.  The visit budget is ``max_visits`` per start, what the
+        starts' own walks would have been allowed together.
         """
-        all_bits = (1 << len(footprint)) - 1
+        budget = self.max_visits * len(starts)
         defmap: Dict[Definition, int] = {}
         #: (output id, stack) → bits already propagated through it.
         seen: Dict[Tuple[int, Tuple[CallNode, ...]], int] = {}
         #: per-update (alias_bits, kill_bits) against this footprint.
         update_bits: Dict[UpdateNode, Tuple[int, int]] = {}
-        work: List[Tuple[OutputPort, Tuple[CallNode, ...], int]] = \
-            [(start, (), all_bits)]
+        #: base location → (bit mask, path) of the footprint over it.
+        by_base: Dict[object, List[Tuple[int, AccessPath]]] = {}
+        for bit, path in enumerate(footprint):
+            by_base.setdefault(path.base, []).append((1 << bit, path))
+        work: List[Tuple[OutputPort, Tuple[CallNode, ...], int]] = [
+            (start, (), bits) for start, bits in starts]
         visits = 0
         while work:
             output, call_stack, live = work.pop()
@@ -185,7 +218,7 @@ class ReachingDefs:
                 continue
             seen[key] = seen.get(key, 0) | live
             visits += 1
-            if visits > self.max_visits:
+            if visits > budget:
                 raise AnalysisError(
                     "def/use walk exceeded its visit budget")
 
@@ -193,7 +226,7 @@ class ReachingDefs:
             if isinstance(node, UpdateNode):
                 bits = update_bits.get(node)
                 if bits is None:
-                    bits = self._update_bits(node, footprint)
+                    bits = self._update_bits(node, by_base)
                     update_bits[node] = bits
                 alias_bits, kill_bits = bits
                 hit = live & alias_bits
@@ -257,18 +290,24 @@ class ReachingDefs:
         return defmap
 
     def _update_bits(self, update: UpdateNode,
-                     footprint: Tuple[AccessPath, ...]) -> Tuple[int, int]:
+                     by_base: Dict[object, List[Tuple[int, AccessPath]]]
+                     ) -> Tuple[int, int]:
         """(may-alias bits, strong-kill bits) of one update against a
-        read footprint — interned-path comparisons, no decoding."""
+        read footprint — interned-path comparisons, no decoding.  Both
+        relations need a shared base, so each target meets only the
+        footprint paths over its own base (``by_base``)."""
         targets = self.op_paths(update)
         alias_bits = 0
+        for target in targets:
+            for bit, location in by_base.get(target.base, ()):
+                if MAY_ALIAS(target, location):
+                    alias_bits |= bit
         kill_bits = 0
-        strong = targets[0] if len(targets) == 1 else None
-        for bit, location in enumerate(footprint):
-            if any(MAY_ALIAS(t, location) for t in targets):
-                alias_bits |= 1 << bit
-            if strong is not None and strong_dom(strong, location):
-                kill_bits |= 1 << bit
+        if len(targets) == 1:
+            strong = targets[0]
+            for bit, location in by_base.get(strong.base, ()):
+                if strong_dom(strong, location):
+                    kill_bits |= bit
         return alias_bits, kill_bits
 
 

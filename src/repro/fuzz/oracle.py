@@ -27,7 +27,8 @@ re-checks each solution with the declarative fixpoint verifier.  A
 checker leg re-lowers the program under the hazard model and holds the
 bug checkers to the same standard: schedule-stable finding digests,
 and a same-line finding for every concrete null-dereference or
-uninitialized-read trap, under CI and CS alike.  The
+uninitialized-read trap, under CI and CS alike; the dead-store pass's
+one walk must also find exactly the dead set the per-read walks do.  The
 separate :func:`deep_checks` entry (used by the CLI every N-th
 program) additionally crosses process and cache boundaries: analyses
 fanned out with ``--jobs 2`` and lowerings replayed through a
@@ -147,7 +148,9 @@ def check_program(source: str, name: str = "<fuzz>", *,
     FIFO schedules, and any concrete null-dereference or
     uninitialized-read trap must be covered by a same-line finding of
     the matching checker under *both* flavors — a missed concrete
-    hazard is a hard soundness failure (kind ``"checker"``).
+    hazard is a hard soundness failure (kind ``"checker"``).  Under
+    both flavors the dead stores must also equal
+    :func:`reference_dead_stores` (kind ``"checker"``).
 
     ``slices=True`` adds the dependence-graph oracle: the concrete
     interpreter's def→use flows (the line that last wrote a cell → a
@@ -416,11 +419,32 @@ def _covers_trap(findings, hazard: str, line: Optional[int]) -> bool:
                for f in findings)
 
 
+def reference_dead_stores(result: AnalysisResult) -> List[UpdateNode]:
+    """The dead set :func:`~repro.analysis.clients.deadstore.
+    find_dead_stores` must report, built from each read's own
+    reaching-definitions walk: every update with a target that no
+    read observes, in program order."""
+    from ..analysis.depgraph import ReachingDefs
+
+    engine = ReachingDefs(result, call_site_sensitive=False)
+    nodes = [node for graph in result.program.functions.values()
+             for node in graph.nodes]
+    observed = set()
+    for node in nodes:
+        if isinstance(node, LookupNode):
+            observed |= engine.reaching_definitions(node)
+    solution = result.solution
+    return [node for node in nodes
+            if isinstance(node, UpdateNode) and node not in observed
+            and solution.op_targets_mask(node)]
+
+
 def _check_checkers(source: str, name: str, report: CheckReport,
                     trap: Optional[ConcreteTrap], trace,
                     schedules: bool = True) -> None:
     """The checker-client oracle leg (see :func:`check_program`)."""
     from ..analysis.checkers import findings_digest, run_checkers
+    from ..analysis.clients import deadstore
 
     program = lower_source(source, name=name, simplify=False,
                            hazard_model=True)
@@ -433,6 +457,16 @@ def _check_checkers(source: str, name: str, report: CheckReport,
     report.digests["check_cs"] = digests["cs"]
     report.stats["checker_findings_ci"] = len(findings["ci"])
     report.stats["checker_findings_cs"] = len(findings["cs"])
+
+    for flavor, result in (("ci", ci), ("cs", cs)):
+        dead = deadstore.find_dead_stores(result).dead
+        expected = reference_dead_stores(result)
+        if dead != expected:
+            report.violations.append(Violation(
+                "checker",
+                f"{flavor.upper()} dead stores from one walk "
+                f"({len(dead)}) differ from the per-read walks' "
+                f"({len(expected)})"))
 
     if schedules:
         ci_alt = analyze_insensitive(program, schedule="fifo")

@@ -5,6 +5,8 @@ Every program here lowers under the hazard model (``<null>`` /
 nothing to see and stay silent, which the last test pins down.
 """
 
+import pytest
+
 import repro
 from repro.analysis.checkers import run_checkers
 
@@ -146,6 +148,61 @@ int *mk(void) { return &g; }
 int main(void) { int *p = mk(); return *p; }
 """, names=["stackref"])
         assert findings == []
+
+    #: Escapes through a global, the heap and a return; a recursive
+    #: call (its own frame stays live); a holder cell that dies with
+    #: the frame it points into (``holder``); and a transitive callee
+    #: (``outer`` → ``to_global``).
+    PINNED = """\
+extern void *malloc(unsigned long n);
+struct box { int *p; };
+int *gp;
+struct box *heap;
+
+void to_global(void) { int x; gp = &x; }
+void to_heap(int *unused) { int y; heap->p = &y; }
+int *to_return(void) { int z; return &z; }
+void holder(void) { int w; int *cell = &w; int **pp = &cell; *pp = &w; }
+int rec(int n) { int r; if (n) rec(n - 1); gp = &r; return 0; }
+void outer(void) { to_global(); }
+int main(void) {
+    heap = malloc(sizeof(struct box));
+    to_global();
+    to_heap(0);
+    int *p = to_return();
+    holder();
+    rec(3);
+    outer();
+    return 0;
+}
+"""
+
+    GLOBAL = "gp may hold a pointer into the dead frame of {} after " \
+        "this call returns"
+    FINDINGS = [
+        ("main", "call#7", "stackref.c:14", "to_global::x",
+         GLOBAL.format("to_global")),
+        ("main", "call#10", "stackref.c:15", "to_heap::y",
+         "<heap:malloc@main:13>.p may hold a pointer into the dead "
+         "frame of to_heap after this call returns"),
+        ("main", "call#12", "stackref.c:16", "to_return::z",
+         "call may return a pointer into the dead frame of to_return"),
+        ("main", "call#17", "stackref.c:18", "rec::r",
+         GLOBAL.format("rec")),
+        ("main", "call#19", "stackref.c:19", "to_global::x",
+         GLOBAL.format("to_global")),
+        ("outer", "call#2", "stackref.c:11", "to_global::x",
+         GLOBAL.format("to_global")),
+    ]
+
+    @pytest.mark.parametrize("flavor", ["insensitive", "sensitive"])
+    def test_pinned_findings(self, flavor):
+        findings = check(self.PINNED, names=["stackref"], flavor=flavor,
+                         name="stackref.c")
+        assert [f.key() for f in findings] == [
+            ("stackref", flavor, function, node, origin, path,
+             "warning", message)
+            for function, node, origin, path, message in self.FINDINGS]
 
 
 class TestWildCall:

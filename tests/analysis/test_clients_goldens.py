@@ -229,7 +229,7 @@ def client_counts(result):
                 if INITIAL in defs:
                     initial += 1
     info = modref(result)
-    report = find_dead_stores(result, du=du)
+    report = find_dead_stores(result)
     return dict(reads=reads, defuse_edges=edges, initial_reads=initial,
                 mod=sum(len(info.mod_set(f)) for f in program.functions),
                 ref=sum(len(info.ref_set(f)) for f in program.functions),

@@ -9,6 +9,7 @@ reported as a soundness failure — proving the oracle has teeth.
 import pytest
 
 from repro.analysis.checkers.base import REGISTRY
+from repro.analysis.clients import deadstore
 from repro.fuzz.driver import run_fuzz
 from repro.fuzz.generator import generate_program
 from repro.fuzz.mutations import (
@@ -29,6 +30,16 @@ int main(void) {
     int v2 = 0;
     v2 = *v1;
     return v2;
+}
+"""
+
+#: ``g0 = 1`` is overwritten before any read: a dead store.
+OVERWRITE = """\
+int g0;
+int main(void) {
+    g0 = 1;
+    g0 = 2;
+    return g0;
 }
 """
 
@@ -81,6 +92,27 @@ class TestOracleHasTeeth:
                                expect_trap="uninit")
         assert not report.ok
         assert "checker" in {v.kind for v in report.violations}
+
+    def test_wrong_dead_set_is_caught(self, monkeypatch):
+        """A one-walk dead set that misses a dead store disagrees with
+        the per-read walks under CI and CS alike."""
+        real = deadstore.find_dead_stores
+
+        def misses_one(result):
+            report = real(result)
+            assert report.dead, "the program must have a dead store"
+            report.dead = report.dead[1:]
+            return report
+
+        monkeypatch.setattr(deadstore, "find_dead_stores", misses_one)
+        report = check_program(OVERWRITE, name="wrong-dead.c")
+        dead = [v.detail for v in report.violations
+                if v.kind == "checker" and "dead stores" in v.detail]
+        assert [d[:2] for d in dead] == ["CI", "CS"], report.violations
+
+    def test_right_dead_set_passes(self):
+        report = check_program(OVERWRITE, name="dead.c")
+        assert report.ok, report.violations
 
 
 class TestDrivenCampaign:
