@@ -16,6 +16,10 @@ ephemeral port, throwaway cache directory), then:
    this process with caching disabled, and so must every program's
    ``/query`` operations and one ``file:line`` ``/slice`` (its slice
    and graph digests, from the first indirect operation's origin);
+   **warm query and slice** — each program's ``/query`` and parity
+   ``/slice`` again, repeated: payload-LRU hits, which must equal the
+   parity answers with tier ``solution``; their p50s are reported,
+   not gated;
 4. **mixed phase** — ≥50 concurrent warm/cold ``analyze``/``check``/
    ``query``/``slice`` requests (cold via fresh synthetic sources) for
    a sustained-throughput figure.
@@ -66,7 +70,8 @@ OUTPUT = REPO_ROOT / "BENCH_serve.json"
 #: The acceptance floor: warm p50 must beat cold p50 by at least this.
 SPEEDUP_FLOOR = 5.0
 
-#: Warm repetitions per program (p50 over programs × reps).
+#: Warm repetitions per program (p50 over programs × reps), for
+#: ``/analyze`` and for the warm ``/query`` and ``/slice``.
 WARM_REPS = 3
 
 #: Minimum requests in the mixed sustained-load phase.
@@ -294,6 +299,7 @@ def main() -> int:
 
         # -- query and slice parity -------------------------------------
         criteria = {}
+        parity = {}
         for name in PROGRAM_NAMES:
             operations, criterion, sliced = _reference_query_and_slice(
                 name)
@@ -304,6 +310,8 @@ def main() -> int:
             elif payload["operations"] != operations:
                 failures.append(f"query parity {name}: served operations "
                                 f"!= fresh in-process operations")
+            else:
+                parity[("/query", name)] = ({"program": name}, payload)
             if criterion is None:
                 failures.append(f"slice {name}: no indirect operation "
                                 f"with an origin to slice from")
@@ -319,7 +327,27 @@ def main() -> int:
                   "graph": payload["graph"]["digest"]} != sliced:
                 failures.append(f"slice parity {name}: served digests "
                                 f"!= fresh in-process digests")
+            else:
+                parity[("/slice", name)] = (
+                    {"program": name, "criterion": criterion}, payload)
         report["query_slice_parity_programs"] = len(criteria)
+
+        # -- warm query and slice: payload-LRU hits ---------------------
+        warm = {"/query": [], "/slice": []}
+        for _ in range(WARM_REPS):
+            for (path, name), (body, first) in parity.items():
+                status, payload, seconds = _request(addr, "POST", path,
+                                                    body)
+                if (status != 200 or payload["tier"] != "solution"
+                        or dict(payload, tier=None)
+                        != dict(first, tier=None)):
+                    failures.append(f"warm {path} {name}: HTTP {status}, "
+                                    f"not the parity answer as a "
+                                    f"solution-tier hit")
+                    continue
+                warm[path].append(seconds)
+        report["warm_query_p50_seconds"] = percentile(warm["/query"], 0.50)
+        report["warm_slice_p50_seconds"] = percentile(warm["/slice"], 0.50)
 
         # -- mixed sustained-load phase ---------------------------------
         bodies = []
@@ -363,6 +391,7 @@ def main() -> int:
     report["ok"] = not failures
     report["failures"] = failures
     for key in ("cold_p50_seconds", "warm_p50_seconds",
+                "warm_query_p50_seconds", "warm_slice_p50_seconds",
                 "mixed_p95_seconds"):
         if report.get(key) is not None:
             report[key] = round(report[key], 6)
@@ -371,7 +400,9 @@ def main() -> int:
     print(f"serve bench: cold p50 {report['cold_p50_seconds']}s "
           f"(workers' VmHWM {report.get('cold_workers_vmhwm_mb')} MB), "
           f"warm p50 {report['warm_p50_seconds']}s "
-          f"({report['warm_over_cold_speedup']}x, floor {SPEEDUP_FLOOR}x); "
+          f"({report['warm_over_cold_speedup']}x, floor {SPEEDUP_FLOOR}x), "
+          f"warm query p50 {report['warm_query_p50_seconds']}s, "
+          f"warm slice p50 {report['warm_slice_p50_seconds']}s; "
           f"mixed {report['mixed_requests']} reqs at "
           f"{report['mixed_throughput_rps']} rps")
     if failures:

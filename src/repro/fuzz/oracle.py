@@ -47,7 +47,7 @@ from ..analysis.flowinsensitive import analyze_flowinsensitive
 from ..analysis.insensitive import analyze_insensitive
 from ..analysis.sensitive import analyze_sensitive
 from ..analysis.verify import verify_solution
-from ..frontend.cache import forget_loaded
+from ..frontend.cache import caching_disabled, forget_loaded
 from ..frontend.pipeline import lower_file, lower_source
 from ..ir.nodes import LookupNode, UpdateNode
 from .concrete import ConcreteTrap, interpret_source
@@ -167,6 +167,8 @@ def check_program(source: str, name: str = "<fuzz>", *,
     replay (``sccs_resolved == 0``), and a third run after evicting
     one persisted CI entry must recover — all three digest-identical
     to the whole-program CI/CS/FI solutions (kind ``"summary"``).
+    Under ``REPRO_NO_CACHE`` nothing persists, so the second run must
+    re-solve every SCC instead.
     """
     report = CheckReport(name=name)
     # simplify=False: the simplifier deletes dead lookups, which would
@@ -375,12 +377,16 @@ def _check_summaries(source: str, name: str, report: CheckReport) -> None:
     recovery after evicting one persisted CI entry (the partial /
     fallback path).  Every run must be digest-identical to the
     whole-program baseline already recorded in ``report.digests``.
+    The ``REPRO_NO_CACHE`` opt-out overrides the throwaway cache, so
+    under it the replay leg must re-solve every SCC.
     """
     import glob
     import os
     import tempfile
 
     from ..analysis.incremental import analyze_incremental
+
+    replays = not caching_disabled()
 
     def run_and_compare(cache_dir: str, leg: str,
                         expect_replay: bool = False) -> None:
@@ -396,12 +402,20 @@ def _check_summaries(source: str, name: str, report: CheckReport) -> None:
                     f"({digest[:12]}… vs "
                     f"{report.digests[short][:12]}…)"))
             dense = results[flavor].extras.get("dense", {})
-            if expect_replay and dense.get("sccs_resolved") != 0:
+            if not expect_replay:
+                continue
+            resolved = dense.get("sccs_resolved")
+            if replays and resolved != 0:
                 report.violations.append(Violation(
                     "summary",
                     f"{short.upper()} re-run over an unchanged program "
-                    f"re-solved {dense.get('sccs_resolved')} SCC(s) "
-                    f"instead of replaying"))
+                    f"re-solved {resolved} SCC(s) instead of replaying"))
+            elif not replays and resolved != dense.get("summary_scc_total"):
+                report.violations.append(Violation(
+                    "summary",
+                    f"{short.upper()} re-run with caching disabled "
+                    f"re-solved {resolved} of "
+                    f"{dense.get('summary_scc_total')} SCC(s)"))
 
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-sum-") as tmp:
         run_and_compare(tmp, "cold")
@@ -514,7 +528,8 @@ def deep_checks(programs: Sequence[Tuple[str, str]],
     boundary.  Each program's CI/CS solutions must digest identically
     when analyzed inline (``jobs=1``) and across a process pool, and
     when its lowering is replayed through a cache miss then a cache
-    hit.
+    hit — or, under the ``REPRO_NO_CACHE`` opt-out, which overrides
+    the leg's own cache directory, through two uncached lowerings.
     """
     from ..runner import Request, run
 
@@ -552,6 +567,7 @@ def deep_checks(programs: Sequence[Tuple[str, str]],
                         f"jobs=1 ({a[:12]}…) and jobs={jobs} ({b[:12]}…)"))
 
         cache_dir = tmpdir / "cache"
+        expected = ("off", "off") if caching_disabled() else ("miss", "hit")
         for path in paths:
             cold = lower_file(path, cache=cache_dir)
             cold_status = cold.extras.get("cache")
@@ -561,11 +577,11 @@ def deep_checks(programs: Sequence[Tuple[str, str]],
             forget_loaded(cache_dir)
             warm = lower_file(path, cache=cache_dir)
             statuses = (cold_status, warm.extras.get("cache"))
-            if statuses != ("miss", "hit"):
+            if statuses != expected:
                 violations.append(Violation(
                     "determinism",
-                    f"{path.name}: expected cache miss then hit, got "
-                    f"{statuses}"))
+                    f"{path.name}: expected cache {expected[0]} then "
+                    f"{expected[1]}, got {statuses}"))
             a = solution_digest(analyze_insensitive(cold))
             b = solution_digest(analyze_insensitive(warm))
             if a != b:

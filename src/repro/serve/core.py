@@ -8,18 +8,26 @@ request runs in the fault-isolated :class:`~repro.runner.WorkerPool`,
 whose worker ships back only the JSON payload.  Around that path sit
 the payload LRU (the ``solution`` tier, keyed on the request with the
 content hash as target, above the workers' summary-replay and
-lowering-cache tiers; ``/query``'s ``function``/``line`` filters select
-from one cached operation list and key nothing), coalescing of
-duplicate in-flight requests onto one computation, bounded admission
-that sheds excess load, per-request budgets, and the metrics the
-daemon reports.  The daemon process itself never lowers or solves a
-program.  The HTTP adapter (:mod:`repro.serve.http`) only parses
-requests and serializes responses; tests and benchmarks drive the
-core directly, so everything load-bearing is exercised without
-sockets.
+lowering-cache tiers), coalescing of duplicate in-flight requests onto
+one computation, bounded admission that sheds excess load,
+per-request budgets, and the metrics the daemon reports.  The daemon
+process itself never lowers or solves a program.
 
-Request handling is synchronous and blocking by design — the asyncio
-front end dispatches each admitted request onto
+The payload LRU holds each answer as the exact response body a hit
+sends, encoded once when the worker's payload arrives.
+:meth:`AnalysisService.lookup` keys a body (an inline ``source`` from
+its UTF-8 bytes, in memory) and reads the LRU with no disk write, no
+pool work and no thread, so the HTTP adapter (:mod:`repro.serve.http`)
+answers a hit on its event loop; ``/query``'s ``function``/``line``
+filters select from the one stored operation list and key nothing.
+Only a miss takes admission, an executor thread and :meth:`handle`,
+which spools inline source to disk and runs the pool.  The adapter
+only parses requests and serializes responses; tests and benchmarks
+drive the core directly, so everything load-bearing is exercised
+without sockets.
+
+A miss is handled synchronously and blocking by design — the asyncio
+front end dispatches each admitted miss onto
 :attr:`AnalysisService.executor` (a thread pool sized to the admission
 limit, so an admitted request never queues behind a missing thread)
 and the threads block on the persistent fault-isolated process pool.
@@ -28,6 +36,7 @@ Everything here is thread-safe.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -35,7 +44,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..errors import RequestError, SuiteError
 from ..lru import LRUCache
@@ -144,13 +153,6 @@ def _rounded(value: Optional[float]) -> Optional[float]:
     return None if value is None else round(value, 6)
 
 
-def _json_size(value: object) -> int:
-    try:
-        return len(json.dumps(value))
-    except (TypeError, ValueError):
-        return 1 << 20
-
-
 # -- request bodies -> Request fields, after checking their JSON shape ----
 
 
@@ -190,15 +192,20 @@ def _query_fields(body: dict) -> dict:
     return {"flavors": (body.get("flavor", "insensitive"),)}
 
 
+def _filtered(body: dict) -> bool:
+    """Whether a ``/query`` body selects by ``function`` or ``line``."""
+    return body.get("function") is not None or body.get("line") is not None
+
+
 def _query_view(payload: dict, body: dict) -> dict:
     """``/query``'s answer: the program's indirect operations, only
     those of ``function`` and lowered from ``line`` when given.  The
     filters select from the one cached list, so a new filter over a
     program already queried needs no pool work."""
+    if not _filtered(body):
+        return payload
     function = body.get("function")
     line = body.get("line")
-    if function is None and line is None:
-        return payload
     line = None if line is None else str(line)
     return dict(payload, operations=[
         op for op in payload["operations"]
@@ -223,6 +230,29 @@ def _slice_fields(body: dict) -> dict:
 #: schedule).
 _FIELDS = {"analyze": _analyze_fields, "check": _check_fields,
            "query": _query_fields, "slice": _slice_fields}
+
+
+def response_body(payload: dict) -> bytes:
+    """The HTTP response body for ``payload``: the one encoding of
+    every answer, stored or not."""
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+class Lookup(NamedTuple):
+    """One request body keyed against the payload LRU (see
+    :meth:`AnalysisService.lookup`)."""
+
+    #: The request a miss runs.
+    request: Request
+    #: Its payload-LRU and coalescing key: the request with its target
+    #: replaced by the content hash.
+    key: Request
+    #: An inline ``source``'s UTF-8 bytes, which a miss spools to the
+    #: request's one target path; ``None`` for other targets.
+    source: Optional[bytes]
+    #: A hit's response body, byte for byte what the transport sends;
+    #: ``None`` on a miss.
+    answer: Optional[bytes]
 
 
 class _InFlight:
@@ -251,10 +281,22 @@ class AnalysisService:
             thread_name_prefix="repro-serve")
         self.payloads = LRUCache(
             max_bytes=max(1, config.max_memory_mb) * 1024 * 1024,
-            sizeof=_json_size, name="solution")
+            sizeof=len, name="solution")
         self._inflight: Dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
-        self._spool_dir: Optional[Path] = None
+        # Inline source spools to ``serve-src`` under the cache
+        # directory, or with the cache off to a directory of the
+        # service's own, made now (keying a body never writes to disk)
+        # and removed at shutdown.
+        from ..frontend.cache import resolve_cache_dir
+        root = resolve_cache_dir(config.cache)
+        self._spool_tmp = None
+        if root is None:
+            import tempfile
+            self._spool_tmp = tempfile.TemporaryDirectory(
+                prefix="repro-serve-src-")
+            root = Path(self._spool_tmp.name)
+        self._spool_dir = root / "serve-src"
         self._spool_lock = threading.Lock()
         self._telemetry = None
         self._telemetry_lock = threading.Lock()
@@ -301,22 +343,64 @@ class AnalysisService:
         future.add_done_callback(
             lambda _f: self.metrics.count("zombies", -1))
 
+    # -- the payload LRU (any thread; the transport's event loop) -----
+
+    def lookup(self, endpoint: str, body: dict) -> Optional[Lookup]:
+        """Key ``body`` and read the payload LRU: one counted lookup,
+        with no disk write, no pool work and no thread.
+
+        A hit carries the response body to send and is counted as an
+        answered request here; a miss carries the request and key
+        :meth:`handle` computes.  A body that cannot be keyed gives
+        ``None``: :meth:`handle` answers it, so its error counts once.
+        """
+        start = time.perf_counter()
+        if endpoint not in _FIELDS:
+            return None
+        try:
+            found = self._lookup(endpoint, body)
+        except Exception:  # noqa: BLE001 - handle() answers it
+            return None
+        if found.answer is not None:
+            self._answered(endpoint, "solution", start)
+        return found
+
+    def _lookup(self, endpoint: str, body: dict) -> Lookup:
+        target, content_key, source = self._target(body)
+        request = self._request(endpoint, target, body,
+                                **_FIELDS[endpoint](body))
+        key = request._replace(target=content_key)
+        answer = self.payloads.get(key)
+        if answer is not None and endpoint == "query" and _filtered(body):
+            answer = response_body(_query_view(json.loads(answer), body))
+        return Lookup(request, key, source, answer)
+
     # -- request handling (blocking; runs on executor threads) --------
 
-    def handle(self, endpoint: str, body: dict) -> Tuple[int, dict]:
-        """One admitted request → ``(http_status, response_payload)``.
+    def handle(self, endpoint: str, body: dict,
+               found: Optional[Lookup] = None) -> Tuple[int, dict]:
+        """One request → ``(http_status, response_payload)``.
 
-        Every answer but a 200 counts in ``errors`` and nothing else:
-        not in ``requests``, the tier hits or the latency sample,
-        whether the daemon or the worker found the fault."""
+        ``found`` is the transport's :meth:`lookup` miss for this body,
+        so the request is keyed and looked up once; without it the
+        body is looked up here, and a hit answers the stored body,
+        decoded.  Every answer but a 200 counts in ``errors`` and
+        nothing else: not in ``requests``, the tier hits or the
+        latency sample, whether the daemon or the worker found the
+        fault."""
         start = time.perf_counter()
         if endpoint not in _FIELDS:
             self.metrics.count("errors")
             return 404, {"error": f"unknown endpoint {endpoint!r}"}
         try:
-            status, payload = self._pooled(endpoint, body)
-            if endpoint == "query" and status == 200:
-                payload = _query_view(payload, body)
+            if found is None:
+                found = self._lookup(endpoint, body)
+            if found.answer is not None:
+                status, payload = 200, json.loads(found.answer)
+            else:
+                status, payload = self._computed(found)
+                if endpoint == "query" and status == 200:
+                    payload = _query_view(payload, body)
         except RequestError as exc:
             status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - daemon must not die
@@ -324,12 +408,10 @@ class AnalysisService:
         if status != 200:
             self.metrics.count("errors")
             return status, payload
-        elapsed = time.perf_counter() - start
         # Followers of a coalesced computation don't re-count its tier
         # — six riders on one cold solve is one cold solve.
         tier = None if payload.get("coalesced") else payload.get("tier")
-        self.metrics.observe(endpoint, tier, elapsed)
-        self._maybe_snapshot()
+        self._answered(endpoint, tier, start)
         return status, payload
 
     def metrics_payload(self) -> Dict[str, object]:
@@ -337,27 +419,25 @@ class AnalysisService:
             caches={"solution": self.payloads},
             worker_deaths=self.pool.worker_deaths)
 
-    # -- endpoints ----------------------------------------------------
+    def _answered(self, endpoint: str, tier: Optional[str],
+                  start: float) -> None:
+        self.metrics.observe(endpoint, tier, time.perf_counter() - start)
+        self._maybe_snapshot()
 
-    def _pooled(self, kind: str, body: dict) -> Tuple[int, dict]:
-        """One endpoint's request through the pool.
+    def _computed(self, found: Lookup) -> Tuple[int, dict]:
+        """A payload-LRU miss through the pool.
 
-        The worker ships back only the JSON payload.  The payload LRU
-        and the coalescing map key on the request with its target
-        replaced by the content hash, so a key names exactly what the
-        worker runs.  A request error raised in the worker (a slice
-        criterion or finding that matches nothing) answers 400; any
-        other failure, lowering and solving included, answers 500.
+        The worker ships back only the JSON payload, which answers
+        with the worker's tier and is stored as the body a hit sends.
+        A request error raised in the worker (a slice criterion or
+        finding that matches nothing) answers 400; any other failure,
+        lowering and solving included, answers 500.
         """
-        target, content_key = self._target(body)
-        request = self._request(kind, target, body,
-                                **_FIELDS[kind](body))
-        key = request._replace(target=content_key)
-        cached = self.payloads.get(key)
-        if cached is not None:
-            return 200, dict(cached, tier="solution")
+        request = found.request
 
         def compute() -> Tuple[int, dict]:
+            if found.source is not None:
+                self._spool(Path(request.target[0]), found.source)
             outcome = self.pool.run(request)
             error = outcome.error
             if error is not None:
@@ -368,10 +448,11 @@ class AnalysisService:
                              "program": request.name}
             payload = outcome.payload
             self._note_summary_evictions(payload)
-            self.payloads.put(key, payload)
+            self.payloads.put(found.key,
+                              response_body(dict(payload, tier="solution")))
             return 200, payload
 
-        return self._coalesced(key, compute)
+        return self._coalesced(found.key, compute)
 
     # -- plumbing -----------------------------------------------------
 
@@ -418,9 +499,11 @@ class AnalysisService:
             cache=self.config.cache, incremental=True, payload_only=True,
             **fields)
 
-    def _target(self, body: dict) -> Tuple[object, str]:
-        """The request target (a suite name or a one-path tuple) and
-        its content hash, the warm-identity handle every key uses."""
+    def _target(self, body: dict
+                ) -> Tuple[object, str, Optional[bytes]]:
+        """The request target (a suite name or a one-path tuple), its
+        content hash (the warm-identity handle every key uses), and an
+        inline ``source``'s UTF-8 bytes."""
         if not isinstance(body, dict):
             raise RequestError("request body must be a JSON object")
         given = [k for k in ("program", "file", "source") if k in body]
@@ -434,45 +517,41 @@ class AnalysisService:
             raise RequestError(f"{kind!r} must be a non-empty string")
         if kind == "program":
             try:
-                return value, content_key(value)
+                return value, content_key(value), None
             except SuiteError as exc:
                 raise RequestError(str(exc)) from None
         if kind == "file":
             path = Path(value)
             if not path.is_file():
                 raise RequestError(f"no such file: {value}")
-        else:
-            # Source text: spool to a content-named file so lower_file's
-            # content-hash cache applies exactly as it does for real
-            # files — the same text served twice is one lowering, ever.
-            path = self._spool_source(value)
-        target = (str(path),)
-        return target, content_key(target)
+            target = (str(path),)
+            return target, content_key(target), None
+        # Source text is keyed from its bytes in memory.  A miss spools
+        # those bytes to this content-named file, so lower_file's
+        # content-hash cache applies exactly as it does for real files
+        # — the same text served twice is one lowering, ever — and the
+        # key is the one content_key computes over the spooled file.
+        from ..frontend.cache import compute_key
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RequestError("'source' must be text that encodes as "
+                               "UTF-8") from None
+        name = hashlib.sha256(data).hexdigest()[:32]
+        path = str(self._spool_dir / f"{name}.c")
+        return (path,), compute_key([(path, data)]), data
 
-    def _spool_source(self, source: str) -> Path:
-        import hashlib
-        # One lock covers setup and the write-then-rename: concurrent
-        # threads spooling the same text must not race on the tmp file
-        # (same pid → same tmp name).  Spooling is tiny relative to a
-        # solve, so the serialization is invisible.
+    def _spool(self, path: Path, data: bytes) -> None:
+        # One lock covers the write-then-rename: concurrent threads
+        # spooling the same text must not race on the tmp file (same
+        # pid → same tmp name).  Spooling is tiny relative to a solve,
+        # so the serialization is invisible.
         with self._spool_lock:
-            if self._spool_dir is None:
-                from ..frontend.cache import resolve_cache_dir
-                root = resolve_cache_dir(self.config.cache)
-                if root is None:
-                    import tempfile
-                    self._spool_dir = Path(
-                        tempfile.mkdtemp(prefix="repro-serve-src-"))
-                else:
-                    self._spool_dir = root / "serve-src"
-                self._spool_dir.mkdir(parents=True, exist_ok=True)
-            sha = hashlib.sha256(source.encode()).hexdigest()[:32]
-            path = self._spool_dir / f"{sha}.c"
             if not path.exists():
+                path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_suffix(f".tmp.{os.getpid()}")
-                tmp.write_text(source)
+                tmp.write_bytes(data)
                 os.replace(tmp, path)
-        return path
 
     def _note_summary_evictions(self, payload: dict) -> None:
         evicted = max((entry.get("dense", {}).get("summary_evictions", 0)
@@ -505,3 +584,5 @@ class AnalysisService:
             self._telemetry = None
         self.executor.shutdown(wait=False, cancel_futures=True)
         self.pool.shutdown()
+        if self._spool_tmp is not None:
+            self._spool_tmp.cleanup()

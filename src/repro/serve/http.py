@@ -15,21 +15,27 @@ five routes and its clients are benchmarks, CI smoke, and curl:
   coalesced/shed counts, latency percentiles, payload-LRU stats).
 
 Every ``POST`` runs the same way: the service core builds a request,
-a pool worker runs it, and the payload LRU keeps the answer.
+a pool worker runs it, and the payload LRU keeps the answer as the
+exact response body.  As soon as a body parses, the adapter looks it
+up (:meth:`~repro.serve.core.AnalysisService.lookup`) on the event
+loop, and a hit is written back from the stored bytes at once: no
+executor thread, no admission slot, no timeout.
 
-Flow control lives in the service core: the adapter checks admission
-*before* dispatching to the executor (shed requests get their 429 in
-microseconds), applies the per-request timeout around the executor
-future, and maps malformed inputs to 400/404/405/413.
+Flow control for a miss lives in the service core: the adapter checks
+admission *before* dispatching to the executor (shed requests get
+their 429 in microseconds) and applies the per-request timeout around
+the executor future.  Malformed input gets 400/404/405/413 from the
+adapter itself, counted in ``/metrics`` under ``errors`` like every
+other answer but a 200, 429 (``shed``) and 504 (``timeouts``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
-from .core import AnalysisService, ServeConfig
+from .core import AnalysisService, ServeConfig, response_body
 
 #: Reject request bodies beyond this many bytes (HTTP 413).
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -45,9 +51,11 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 _POST_ROUTES = ("analyze", "check", "query", "slice")
 
 
-def _response_bytes(status: int, payload: dict,
+def _response_bytes(status: int, payload: Union[dict, bytes],
                     keep_alive: bool) -> bytes:
-    body = json.dumps(payload, sort_keys=True).encode()
+    """One response; ``payload`` is a dict to encode, or a stored
+    answer's body, already encoded."""
+    body = payload if isinstance(payload, bytes) else response_body(payload)
     reason = _REASONS.get(status, "Unknown")
     connection = "keep-alive" if keep_alive else "close"
     head = (f"HTTP/1.1 {status} {reason}\r\n"
@@ -101,12 +109,13 @@ async def _handle_connection(service: AnalysisService,
                 break
             if not head:
                 writer.write(_response_bytes(
-                    413, {"error": "request head too large"}, False))
+                    *_refused(service, 413, "request head too large"),
+                    False))
                 break
             parsed = _parse_head(head)
             if parsed is None:
                 writer.write(_response_bytes(
-                    400, {"error": "malformed request"}, False))
+                    *_refused(service, 400, "malformed request"), False))
                 break
             method, path, headers, keep_alive = parsed
             status, payload = await _route(service, loop, reader,
@@ -128,39 +137,50 @@ async def _handle_connection(service: AnalysisService,
             pass
 
 
+def _refused(service: AnalysisService, status: int,
+             message: str) -> Tuple[int, dict]:
+    """A client error the adapter answers itself, counted in
+    ``errors`` as the service core counts its own."""
+    service.metrics.count("errors")
+    return status, {"error": message}
+
+
 async def _route(service: AnalysisService, loop,
                  reader: asyncio.StreamReader, method: str, path: str,
-                 headers: dict) -> Tuple[int, dict]:
+                 headers: dict) -> Tuple[int, Union[dict, bytes]]:
     endpoint = path.lstrip("/").split("?", 1)[0]
     if endpoint == "metrics":
         if method != "GET":
-            return 405, {"error": "metrics is GET-only"}
+            return _refused(service, 405, "metrics is GET-only")
         return 200, service.metrics_payload()
     if endpoint not in _POST_ROUTES:
-        return 404, {"error": f"no such endpoint: /{endpoint}"}
+        return _refused(service, 404, f"no such endpoint: /{endpoint}")
     if method != "POST":
-        return 405, {"error": f"/{endpoint} is POST-only"}
+        return _refused(service, 405, f"/{endpoint} is POST-only")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
-        return 400, {"error": "bad Content-Length"}
+        return _refused(service, 400, "bad Content-Length")
     if length < 0:
-        return 400, {"error": "bad Content-Length"}
+        return _refused(service, 400, "bad Content-Length")
     if length > MAX_BODY_BYTES:
-        return 413, {"error": "request body too large"}
+        return _refused(service, 413, "request body too large")
     body_bytes = await reader.readexactly(length) if length else b""
     try:
         body = json.loads(body_bytes or b"{}")
     except ValueError:
-        return 400, {"error": "request body is not valid JSON"}
+        return _refused(service, 400, "request body is not valid JSON")
     if not isinstance(body, dict):
-        return 400, {"error": "request body must be a JSON object"}
+        return _refused(service, 400, "request body must be a JSON object")
+    found = service.lookup(endpoint, body)
+    if found is not None and found.answer is not None:
+        return 200, found.answer
     if not service.try_begin():
         return 429, {"error": "service overloaded; retry later",
                      "queue_limit": service.config.queue_limit}
     try:
         future = loop.run_in_executor(service.executor, service.handle,
-                                      endpoint, body)
+                                      endpoint, body, found)
         timeout = service.config.timeout_seconds or None
         try:
             return await asyncio.wait_for(

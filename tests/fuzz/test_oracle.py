@@ -80,3 +80,35 @@ class TestCampaign:
         programs = [(p.name, p.source)
                     for p in (generate_program(s) for s in range(3))]
         assert deep_checks(programs, jobs=2) == []
+
+
+class TestCacheOptOut:
+    """The oracle's cache legs expect what ``REPRO_NO_CACHE`` does:
+    the opt-out overrides the private cache directories they pass."""
+
+    PROGRAMS = [("one", CLEAN), ("two", CLEAN.replace("v0 + 1", "v0 + 2"))]
+
+    def test_deep_checks_expect_two_uncached_lowerings(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert deep_checks(self.PROGRAMS, jobs=2) == []
+
+    def test_summary_leg_expects_every_scc_resolved(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        report = check_program(CLEAN, name="clean.c", schedules=False,
+                               checkers=False, slices=False,
+                               summaries=True)
+        assert report.violations == []
+
+    def test_lowering_cache_that_never_hits_is_reported(self,
+                                                        monkeypatch):
+        from repro.frontend.cache import clear_cache
+        from repro.fuzz import oracle
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        # Deleting the disk entries as well as the memo makes the
+        # second lowering miss too.
+        monkeypatch.setattr(oracle, "forget_loaded", clear_cache)
+        violations = deep_checks(self.PROGRAMS, jobs=2)
+        assert [v.detail for v in violations] == [
+            f"{name}.c: expected cache miss then hit, got "
+            f"('miss', 'miss')" for name, _ in self.PROGRAMS]

@@ -7,6 +7,7 @@ curl would send.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import threading
@@ -14,7 +15,7 @@ import threading
 import pytest
 
 from repro.serve import AnalysisService, ServeConfig
-from repro.serve.http import run_server
+from repro.serve.http import run_server, start_server
 
 SOURCE = """
 int g;
@@ -45,16 +46,24 @@ def daemon(tmp_path_factory):
     # are under tmp_path_factory and cleaned by pytest.
 
 
-def _request(daemon, method, path, body=None, headers=None):
+def _raw_request(daemon, method, path, body=None, headers=None):
+    """``(status, raw response body)``; ``body`` is sent as given when
+    it is ``bytes``, else JSON-encoded."""
     host, port = daemon
     conn = http.client.HTTPConnection(host, port, timeout=120)
     try:
-        payload = json.dumps(body).encode() if body is not None else None
-        conn.request(method, path, body=payload, headers=headers or {})
+        if body is not None and not isinstance(body, bytes):
+            body = json.dumps(body).encode()
+        conn.request(method, path, body=body, headers=headers or {})
         resp = conn.getresponse()
-        return resp.status, json.loads(resp.read())
+        return resp.status, resp.read()
     finally:
         conn.close()
+
+
+def _request(daemon, method, path, body=None, headers=None):
+    status, raw = _raw_request(daemon, method, path, body, headers)
+    return status, json.loads(raw)
 
 
 def test_analyze_roundtrip_and_warm_hit(daemon):
@@ -177,3 +186,143 @@ def test_query_over_http(daemon):
     for op in payload["operations"]:
         assert op["function"] == "main"
         assert op["locations"]
+
+
+def test_transport_client_errors_count_in_errors(daemon):
+    """Every answer the adapter gives itself (bad JSON or a non-object
+    body, a bad Content-Length, an unknown path, a wrong method, an
+    oversized body, a malformed request line) counts in ``errors`` and
+    nowhere else."""
+    import socket
+
+    host, port = daemon
+    _, before = _request(daemon, "GET", "/metrics")
+    sent = [_raw_request(daemon, "POST", "/analyze", b"{not json")[0],
+            _raw_request(daemon, "POST", "/analyze", b"[1, 2]")[0],
+            _raw_request(daemon, "POST", "/nope", {})[0],
+            _raw_request(daemon, "GET", "/analyze")[0],
+            _raw_request(daemon, "POST", "/metrics", {})[0]]
+    for length in ("many", str(64 * 1024 * 1024)):
+        conn = http.client.HTTPConnection(host, port, timeout=120)
+        try:
+            conn.putrequest("POST", "/analyze")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            sent.append(conn.getresponse().status)
+        finally:
+            conn.close()
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(b"NONSENSE\r\n\r\n")
+        sent.append(int(sock.makefile("rb").readline().split()[1]))
+    assert sent == [400, 400, 404, 405, 405, 400, 413, 400]
+    _, after = _request(daemon, "GET", "/metrics")
+    assert after["errors"] - before["errors"] == len(sent)
+    for counter in ("requests", "tier_hits", "shed", "timeouts",
+                    "coalesced"):
+        assert after[counter] == before[counter], counter
+
+
+def _unique(tag: str) -> str:
+    """SOURCE under a comment of its own, so the first request for it
+    misses the payload LRU."""
+    return f"/* {tag} */\n{SOURCE}"
+
+
+@pytest.mark.parametrize("endpoint,extra", [
+    ("analyze", {}),
+    ("check", {}),
+    ("query", {}),
+    ("query", {"function": "main"}),
+    ("query", {"line": 5}),   # ``*p = 1``, under _unique's comment
+    ("slice", {}),
+])
+def test_hit_body_is_the_first_answer_as_stored(daemon, endpoint, extra):
+    """A repeated request's raw body is the first answer (a miss) with
+    tier ``solution``, encoded as the adapter encodes every answer."""
+    source = _unique(f"{endpoint} {sorted(extra)}")
+    if endpoint == "slice":
+        _, ops = _request(daemon, "POST", "/query", {"source": source})
+        extra = {"criterion": ops["operations"][0]["origin"]}
+    body = dict(extra, source=source)
+    status, first = _request(daemon, "POST", f"/{endpoint}", body)
+    assert status == 200
+    assert first["tier"] != "solution"
+    if endpoint == "query":
+        assert first["operations"]
+    status, raw = _raw_request(daemon, "POST", f"/{endpoint}", body)
+    assert status == 200
+    assert raw == json.dumps(dict(first, tier="solution"),
+                             sort_keys=True).encode()
+
+
+@pytest.fixture
+def live(tmp_path):
+    """``(service, (host, port))``: a daemon admitting one request at
+    a time, whose service the test can reach."""
+    service = AnalysisService(ServeConfig(port=0, workers=1,
+                                          cache=str(tmp_path),
+                                          queue_limit=1))
+    loop = asyncio.new_event_loop()
+    server = loop.run_until_complete(start_server(service))
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        yield service, server.sockets[0].getsockname()[:2]
+    finally:
+        async def close():
+            server.close()
+            await server.wait_closed()
+            # Connection handlers outlive the server; end them here so
+            # none is left pending when the loop closes.
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
+
+        asyncio.run_coroutine_threadsafe(close(), loop).result(30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(30)
+        assert not thread.is_alive()
+        loop.close()
+        service.shutdown()
+
+
+def test_hit_takes_no_handler_and_no_admission_slot(live, monkeypatch):
+    """A hit is answered on the event loop: it runs no
+    ``AnalysisService.handle`` and passes admission by, so it answers
+    200 while the one slot is held, where a miss is shed."""
+    service, addr = live
+    body = {"source": SOURCE}
+    status, first = _request(addr, "POST", "/analyze", body)
+    assert status == 200
+    calls = []
+    monkeypatch.setattr(service, "handle",
+                        lambda *args: calls.append(args))
+    assert service.try_begin()  # the one admission slot, held
+    try:
+        shed = service.metrics_payload()["shed"]
+        status, hit = _request(addr, "POST", "/analyze", body)
+        assert status == 200
+        assert hit == dict(first, tier="solution")
+        assert service.metrics_payload()["shed"] == shed
+        status, _ = _request(addr, "POST", "/check", body)
+        assert status == 429
+        assert service.metrics_payload()["shed"] == shed + 1
+    finally:
+        service.end()
+    assert calls == []
+
+
+def test_one_payload_lru_lookup_per_request(live):
+    """Over HTTP too, hits and misses alike cost one counted lookup:
+    ``caches.solution`` hits plus misses equal the requests sent."""
+    service, addr = live
+    sent = [("analyze", {}), ("analyze", {}), ("check", {}),
+            ("query", {}), ("query", {"function": "main"}),
+            ("query", {}), ("check", {})]
+    for endpoint, extra in sent:
+        status, _ = _request(addr, "POST", f"/{endpoint}",
+                             dict(extra, source=SOURCE))
+        assert status == 200
+    stats = service.metrics_payload()["caches"]["solution"]
+    assert (stats["hits"], stats["misses"]) == (4, 3)

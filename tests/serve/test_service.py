@@ -9,6 +9,8 @@ program, whatever cache tier answered.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.common import solution_digest
@@ -149,6 +151,75 @@ def test_query_filters_select_from_one_cached_answer(service,
     assert calls == []
 
 
+#: Non-ASCII text in a comment: the spooled file must hold exactly the
+#: body's UTF-8 bytes, whatever the locale's encoding.
+UNICODE_SOURCE = "/* naïve → ünïcödé */\n" + SOURCE
+
+
+def test_source_key_is_the_spooled_files_content_key(service):
+    """An inline source is keyed from its bytes in memory: the lookup
+    writes nothing, and its key is the one ``content_key`` computes
+    over the file a miss then spools."""
+    from repro.runner import content_key
+
+    body = {"source": UNICODE_SOURCE}
+    found = service.lookup("analyze", body)
+    assert found.answer is None
+    (spooled,) = found.request.target
+    assert not Path(spooled).exists()
+    status, _ = service.handle("analyze", body)
+    assert status == 200
+    assert Path(spooled).read_bytes() == UNICODE_SOURCE.encode("utf-8")
+    assert found.key.target == content_key((spooled,))
+
+
+def test_hit_neither_reads_nor_writes_the_spool(service):
+    """A payload-LRU hit needs no spooled file; a miss on the same
+    text (a new endpoint) spools it again."""
+    body = {"source": UNICODE_SOURCE}
+    status, _ = service.handle("analyze", body)
+    assert status == 200
+    spooled = Path(service.lookup("analyze", body).request.target[0])
+    spooled.unlink()
+    status, again = service.handle("analyze", body)
+    assert status == 200
+    assert again["tier"] == "solution"
+    assert not spooled.exists()
+    status, _ = service.handle("check", body)
+    assert status == 200
+    assert spooled.read_bytes() == UNICODE_SOURCE.encode("utf-8")
+
+
+def test_cache_off_spools_to_a_directory_removed_at_shutdown():
+    svc = AnalysisService(ServeConfig(workers=1, cache=False))
+    try:
+        status, payload = svc.handle("analyze", {"source": SOURCE})
+        assert status == 200
+        spooled = Path(payload["program"])
+        assert spooled.read_bytes() == SOURCE.encode("utf-8")
+    finally:
+        svc.shutdown()
+    assert not spooled.exists()
+    assert not spooled.parent.parent.exists()
+
+
+def test_each_request_looks_up_the_payload_lru_once(service):
+    """Hits, misses and filtered queries alike cost one counted
+    lookup; a body that cannot be keyed costs none."""
+    bodies = [("analyze", {"source": SOURCE}),
+              ("analyze", {"source": SOURCE}),
+              ("query", {"source": SOURCE}),
+              ("query", {"source": SOURCE, "function": "main"}),
+              ("query", {"source": SOURCE, "line": 3}),
+              ("check", {"source": SOURCE, "checkers": ["nullderef"]})]
+    for endpoint, body in bodies:
+        status, _ = service.handle(endpoint, body)
+        assert status == 200
+    assert service.handle("analyze", {"source": "\ud800"})[0] == 400
+    stats = service.payloads.stats()
+    assert (stats["hits"], stats["misses"]) == (3, 3)
+
+
 HAZARD_SOURCE = """
 int g;
 int main(void) {
@@ -194,6 +265,7 @@ def test_flavor_subset_and_ordering(service):
     ({"source": SOURCE, "flavors": ["bogus"]}, "subset"),
     ({"source": SOURCE, "flavors": []}, "subset"),
     ({"program": 42}, "non-empty string"),
+    ({"source": "\ud800"}, "UTF-8"),
 ])
 def test_bad_requests_are_400(service, body, fragment):
     status, payload = service.handle("analyze", body)
